@@ -10,7 +10,7 @@ Three artifact files at the repo root, one record appended per run:
   (``use_fast_collectives=False``), the fast-collective per-message run,
   the *wave-native* run (every steady-state p2p loop posted as
   persistent-request waves, ``use_waves=True`` on the app config), and
-  the *kernelized* run (the wave loops compiled into whole-world
+  the *kernelized* run (the wave loops compiled into closed sub-world
   iteration kernels, ``use_kernels=True``) — asserting byte-identical
   traces and bit-identical per-rank clocks across all four, the ≥5×
   cascade floor, (against the last pre-wave record) the ≥1.3×
@@ -257,7 +257,7 @@ def _fig5_setup(
 
     ``use_waves`` selects the wave-native steady-state loops or the
     per-message reference; ``use_kernels`` additionally compiles the
-    steady loops into whole-world iteration kernels (the production
+    steady loops into closed sub-world iteration kernels (the production
     shape). Messages, traces and clocks are identical all three ways
     (asserted by :func:`time_simmpi`).
     """
@@ -645,7 +645,7 @@ def time_simmpi(
       engine shape, ``use_waves=False``);
     * **wave** — vectorized collectives plus wave-native steady-state
       loops (``use_waves=True``, the PR 5 shape);
-    * **kernel** — the wave loops compiled into whole-world iteration
+    * **kernel** — the wave loops compiled into closed sub-world iteration
       kernels (``use_kernels=True``, the production shape).
 
     All four must produce byte-identical traces and bit-identical

@@ -281,6 +281,15 @@ def cmd_sim(args) -> int:
         f"({rank_iters / elapsed:,.0f} rank-iterations/s), "
         f"virtual time {max(clocks):.6f} s"
     )
+    deopts = ", ".join(
+        f"{reason} x{count}"
+        for reason, count in sorted(engine.kernel_deopts.items())
+    )
+    print(
+        f"kernels: {engine.kernel_runs} run(s), "
+        f"{engine.kernel_iterations} iteration(s) closed-form, "
+        f"deopts: {deopts or 'none'}"
+    )
     if tracer is not None:
         print(
             f"traced: {int(tracer.total_messages):,} messages, "

@@ -47,7 +47,8 @@ class EngineConfig:
         per-message reference).
     use_kernels:
         Allow :class:`~repro.simmpi.engine.KernelLoop` steady states to
-        compile into closed-form whole-world kernels.
+        compile into closed-form kernels whenever the ranks held on them
+        are a closed sub-world (blocked bystanders do not matter).
     pool_capacity:
         Initial :class:`~repro.simmpi.request.MessagePool` slot count
         (the pool doubles on demand).

@@ -283,12 +283,14 @@ class KernelLoop:
     program that does not consume them (synthetic traced steady loops) may
     yield this op.
 
-    When every unfinished rank reaches such a loop and the cycle is
-    provably static (see ``Engine._compile_kernel``), the engine compiles
-    the whole-world iteration into a :class:`_SteadyStateKernel` and
+    When the ranks parked on such loops form a closed sub-world — equal
+    iteration counts and a provably static cycle whose traffic never
+    leaves them (see ``Engine._release_held_kernels``) — the engine
+    compiles their iteration into a :class:`_SteadyStateKernel` and
     executes all iterations with closed-form clock recurrences —
-    byte-identical traces, bit-identical clocks. Anything dynamic deopts
-    back to the expansion above.
+    byte-identical traces, bit-identical clocks — however many other ranks
+    sit blocked outside the loop. Anything dynamic deopts back to the
+    expansion above.
     """
 
     start: StartAll
@@ -390,8 +392,8 @@ _KERNEL_FAILED = object()
 
 
 class _SteadyStateKernel:
-    """A compiled whole-world iteration: the static (send wave → drain)
-    cycle of one participant set, ready for closed-form execution.
+    """A compiled closed sub-world iteration: the static (send wave →
+    drain) cycle of one participant set, ready for closed-form execution.
 
     Built by ``Engine._compile_kernel`` once the participants' persistent
     wave plans are proven static and closed (every send matched by exactly
@@ -511,8 +513,9 @@ class Engine:
         reference path.
     use_kernels:
         Allow :class:`KernelLoop` steady-state loops to compile into
-        whole-world :class:`_SteadyStateKernel` executions once every
-        unfinished rank cycles through a static wave. Set to ``False`` to
+        closed sub-world :class:`_SteadyStateKernel` executions once the
+        held ranks cycle through a static wave closed over themselves
+        (ranks blocked outside the loop do not matter). Set to ``False`` to
         pin the loop's interpreted expansion (still zero generator wakeups
         between matching points, but every message posted individually —
         the kernel equivalence suite's reference). The vectorized path
@@ -685,17 +688,15 @@ class Engine:
         self.fast_collectives_run = 0
 
         # Steady-state kernel bookkeeping: compiled kernels (or cached
-        # rejections) keyed by the participants' (rank, start-op, drain-op)
-        # identity signature, per-run vectorization eligibility, the ranks
-        # currently held at a KernelLoop yield, a live count of unfinished
-        # ranks (the whole-world trigger condition), and cumulative
+        # rejection reasons) keyed by the participants' (rank, start-op,
+        # drain-op) identity signature, per-run vectorization eligibility,
+        # the ranks currently held at a KernelLoop yield, and cumulative
         # counters mirroring ``fast_collectives_run``. ``kernel_deopts``
         # counts, per reason, cycles that stayed on the interpreted
         # expansion — the deopt tests read it.
         self._kernel_cache: dict[tuple, tuple] = {}
         self._kernel_held: list[int] = []
         self._kernel_fast_ok = False
-        self._unfinished = 0
         self.kernel_runs = 0
         self.kernel_iterations = 0
         self.kernel_deopts: dict[str, int] = {}
@@ -884,7 +885,6 @@ class Engine:
                 )
 
         self._states = [None] * self.nranks
-        local = 0
         for rank in self._ranks_to_run():
             ctx = RankContext(rank, self.nranks, self)
             if comm_factory is not None:
@@ -898,7 +898,6 @@ class Engine:
                     f"did you forget `yield` in the program body?"
                 )
             self._states[rank] = _RankState(rank, gen, ctx)
-            local += 1
 
         self._pending_colls = {}
         # Eligibility is fixed per run: every rank must take the same path
@@ -943,7 +942,6 @@ class Engine:
             and not self.track_recv_counts
             and not exploring
         )
-        self._unfinished = local
         self._next_runnable = []
         self._in_next = set()
 
@@ -986,9 +984,9 @@ class Engine:
             if not batch and self._kernel_held:
                 # Scheduler quiescent with ranks held at KernelLoop
                 # yields: execute the steady state in closed form if the
-                # whole unfinished world is held and compiles, else
-                # release the held ranks through the interpreted
-                # expansion. Either way they form the next batch.
+                # held ranks are a closed sub-world, else release them
+                # through the interpreted expansion. Either way they
+                # form the next batch.
                 batch = self._release_held_kernels()
             if exploring and batch:
                 self._sched_ordinal += 1
@@ -1073,13 +1071,11 @@ class Engine:
             except StopIteration as stop:
                 state.finished = True
                 state.result = stop.value
-                self._unfinished -= 1
                 return
             except RankFailedError:
                 state.finished = True
                 state.failed = True
                 state.result = None
-                self._unfinished -= 1
                 return
 
             if failure_ranks and state.rank in failure_ranks and not state.failed:
@@ -1539,9 +1535,9 @@ class Engine:
         state.kernel = _KernelState(op)
         if self._kernel_fast_ok and not self.failure_ranks:
             # Hold the rank at the yield instead of posting: once the
-            # scheduler goes quiescent with the whole unfinished world
-            # held, the run loop compiles and executes the steady state in
-            # closed form (or releases everyone through the interpreted
+            # scheduler goes quiescent, the run loop executes the held
+            # ranks' steady state in closed form if they are a closed
+            # sub-world (or releases them through the interpreted
             # expansion below, in the same ascending-rank order the
             # ordinary batch step would have used — the global posting
             # sequence is identical either way).
@@ -1636,59 +1632,83 @@ class Engine:
     def _release_held_kernels(self) -> list[int]:
         """Quiescence trigger: vectorize or release the held ranks.
 
-        If every unfinished rank is held at a KernelLoop yield with the
-        same iteration count and the participants' cycle compiles, execute
-        the whole loop in closed form (nothing is ever posted); otherwise
-        deopt. Either way every held rank's hold request completes and the
-        held set — in ascending rank order, matching the batch order the
+        If the held ranks H share one iteration count and form a *closed
+        sub-world*, execute the whole loop in closed form (nothing is ever
+        posted); otherwise deopt. H is closed when every static send lands
+        in H (``external-destination``), every receive is non-wildcard and
+        pairs with an H send (``wildcard-recv``, ``unmatched-traffic``),
+        every window collective gathers its registered group entirely from
+        H (``window-mismatch``) and H's mailboxes on the kernel's
+        communicators are empty (``mailbox-busy``).
+
+        Unfinished ranks outside H (bystanders) do not matter. The
+        scheduler is quiescent, so each bystander is blocked on a request
+        only another rank's action can complete, and the only ranks able
+        to act are H's. Released through the interpreted expansion, H's
+        loop posts nothing but the closed traffic above — no send leaves
+        H, no window collective has a member outside H, and the static
+        exact-match receives can neither take a bystander's message nor
+        miss their own — so every bystander would stay blocked until an H
+        rank leaves its loop, exactly as it does here; meanwhile nothing
+        but H's loop stamps the global posting sequence, which therefore
+        advances by the same statically derived amount either way.
+
+        Either way every held rank's hold request completes and the held
+        set — in ascending rank order, matching the batch order the
         ordinary scheduler would have used — becomes the next batch: the
         resume path then either collects the precomputed results
-        (``remaining == 0``) or drives the interpreted expansion.
+        (``remaining == 0``) or drives the interpreted expansion. After a
+        kernel H therefore leaves its loop as one ascending batch, where
+        the expansion lets ranks leave as its matching unwinds: both are
+        legal schedules with identical traces and clocks, but post-loop
+        sends *racing* for one wildcard receive may arbitrate differently
+        (bystanders or not).
         """
         held = self._kernel_held
         self._kernel_held = []
         held.sort()
         states = self._states
         if self._kernel_fast_ok and not self.failure_ranks:
-            if len(held) < self._unfinished:
-                self._kernel_deopt("partial-world")
+            first = states[held[0]].kernel.op.iterations
+            if any(states[r].kernel.op.iterations != first for r in held):
+                self._kernel_deopt("iteration-mismatch")
             else:
-                first = states[held[0]].kernel.op.iterations
-                if any(
-                    states[r].kernel.op.iterations != first for r in held
-                ):
-                    self._kernel_deopt("iteration-mismatch")
-                else:
-                    kern = self._compile_kernel(held)
-                    if kern is not None:
-                        if not self._kernel_quiescent(kern):
-                            self._kernel_deopt("mailbox-busy")
-                        else:
-                            window = self._kernel_window(kern)
-                            if window is not None:
-                                self._execute_kernel(kern, first, window)
+                kern = self._compile_kernel(held)
+                if kern is not None:
+                    if not self._kernel_quiescent(kern):
+                        self._kernel_deopt("mailbox-busy")
+                    else:
+                        window = self._kernel_window(kern)
+                        if window is not None:
+                            self._execute_kernel(kern, first, window)
         for rank in held:
             states[rank].blocked_on.done = True
         return held
 
     def _compile_kernel(self, batch: list[int]) -> "_SteadyStateKernel | None":
-        """Cached compile of the batch's cycle (a cached rejection keeps
-        deopting). Cache values pin the compiled-from ops so the identity
-        keys cannot be recycled by the allocator mid-run."""
+        """Cached compile of the batch's cycle (a cached rejection reason
+        deopts, and is counted, on every hit). Cache values pin the
+        compiled-from ops so the identity keys cannot be recycled by the
+        allocator mid-run."""
         states = self._states
         ops = [states[r].kernel.op for r in batch]
         key = tuple(
             (r, id(op.start), id(op.drain)) for r, op in zip(batch, ops)
         )
         cached = self._kernel_cache.get(key)
-        if cached is not None:
-            return cached[0]
-        kern = self._try_compile_kernel(batch)
-        self._kernel_cache[key] = (kern, ops)
-        return kern
+        if cached is None:
+            cached = self._kernel_cache[key] = (
+                self._try_compile_kernel(batch),
+                ops,
+            )
+        outcome = cached[0]
+        if outcome.__class__ is str:
+            return self._kernel_deopt(outcome)
+        return outcome
 
-    def _try_compile_kernel(self, batch: list[int]) -> "_SteadyStateKernel | None":
-        """Prove the participants' cycle static and closed; build the kernel.
+    def _try_compile_kernel(self, batch: list[int]) -> "_SteadyStateKernel | str":
+        """Prove the participants' cycle static and closed; build the kernel
+        (or return the deopt reason).
 
         Replays one steady-state scheduler batch *statically* — ranks in
         ascending order, each rank's start plan in list order, FIFO
@@ -1698,7 +1718,8 @@ class Engine:
         posting-sequence consumption (sends always stamp; a receive stamps
         only when it parks before its message arrives), and the receive →
         sending-edge pairing used to materialize the final iteration's
-        results. Rejections deopt to the interpreted expansion.
+        results. A rejection returns its reason; the caller deopts to the
+        interpreted expansion.
         """
         states = self._states
         idx_of = {r: i for i, r in enumerate(batch)}
@@ -1723,10 +1744,10 @@ class Engine:
                 plan = op.start.plan = self._compile_start_plan(op.start.requests)
             cols = static_wave_columns(plan)
             if cols is None:
-                return self._kernel_deopt("capture-send")
+                return "capture-send"
             dests, tags, send_comms, payloads, sizes, kinds = cols
             if any(d not in idx_of for d in dests):
-                return self._kernel_deopt("external-destination")
+                return "external-destination"
             edge = len(esrc_w)
             esrc_w.extend([rank] * len(dests))
             edst_w.extend(dests)
@@ -1749,7 +1770,7 @@ class Engine:
                 else:  # PLAN_RECV (capture sends were rejected above)
                     req = data
                     if req.source < 0 or req.tag < 0:
-                        return self._kernel_deopt("wildcard-recv")
+                        return "wildcard-recv"
                     recvs.append(req)
                     comm_ids.add(req.comm_id)
                     chan = (req.comm_id, rank, req.source, req.tag)
@@ -1761,9 +1782,9 @@ class Engine:
                         seq_per_iter += 1
             plan_recvs[rank] = recvs
         if any(unexpected.values()) or any(parked.values()):
-            return self._kernel_deopt("unmatched-traffic")
+            return "unmatched-traffic"
         if not esrc_w:
-            return self._kernel_deopt("no-traffic")
+            return "no-traffic"
 
         drain_edges: list[list[int]] = []
         for i, rank in enumerate(batch):
@@ -1777,9 +1798,9 @@ class Engine:
                 elif isinstance(child, PersistentSendRequest):
                     edges.append(-1)
                 else:
-                    return self._kernel_deopt("dynamic-drain")
+                    return "dynamic-drain"
             if need != have:
-                return self._kernel_deopt("drain-mismatch")
+                return "drain-mismatch"
             drain_edges.append(edges)
 
         kern = _SteadyStateKernel()

@@ -405,7 +405,9 @@ class _ShardRunner:
         return {
             "outbox": outbox,
             "colls": eng.export_partial_collectives(),
-            "unfinished": eng._unfinished,
+            "unfinished": any(
+                not eng._states[rank].finished for rank in eng._owned
+            ),
             "frontier": eng.clock_frontier(),
         }
 

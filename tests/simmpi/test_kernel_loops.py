@@ -1,18 +1,21 @@
 """Equivalence and deopt suite for kernelized steady-state loops.
 
 A rank program can hand the engine its whole steady loop as one
-:class:`~repro.simmpi.KernelLoop` op. When every unfinished rank does so
-with the same iteration count and purely static wave traffic, the engine
-compiles the world's iteration into a closed-form kernel (no posting, no
-generator wakeups); otherwise it deopts to the interpreted micro-step
-expansion. Both paths must be indistinguishable from writing the loop out
-by hand: identical results, bit-identical per-rank virtual clocks,
-byte-identical traces. Every deopt reason is exercised here and counted
-via ``Engine.kernel_deopts``.
+:class:`~repro.simmpi.KernelLoop` op. When the ranks that do so share an
+iteration count and form a closed sub-world (purely static wave traffic
+that never leaves them), the engine compiles their iteration into a
+closed-form kernel (no posting, no generator wakeups) however many
+blocked bystanders exist; otherwise it deopts to the interpreted
+micro-step expansion. Both paths must be indistinguishable from writing
+the loop out by hand: identical results, bit-identical per-rank virtual
+clocks, byte-identical traces. Every deopt reason is exercised here and
+counted via ``Engine.kernel_deopts``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simmpi import ANY_SOURCE, Engine, KernelLoop, TraceRecorder
 from repro.simmpi.collectives import max_op, sum_op
@@ -24,10 +27,14 @@ RING_TAG = 7
 RING_BYTES = 1 << 14
 
 
-def _ring_ops(comm):
-    """Persistent ring wave: send right, receive from the left."""
-    right = (comm.rank + 1) % comm.size
-    left = (comm.rank - 1) % comm.size
+def _ring_ops(comm, members=None):
+    """Persistent ring wave: send right, receive from the left — over the
+    whole communicator, or over the ring of ``members`` (ranks of it)."""
+    if members is None:
+        members = range(comm.size)
+    at = members.index(comm.rank)
+    right = members[(at + 1) % len(members)]
+    left = members[(at - 1) % len(members)]
     send = comm.send_init(
         None, dest=right, tag=RING_TAG, nbytes=RING_BYTES, kind="ring"
     )
@@ -86,6 +93,16 @@ def assert_records_equal(ref, other, what):
     )
     for kind, mat in ref["tracer"].kind_matrices.items():
         np.testing.assert_array_equal(mat, other["tracer"].kind_matrices[kind])
+
+
+def run_both(program, size):
+    """The program under the kernel tier and under its ``use_kernels=False``
+    reference, asserted indistinguishable."""
+    ref = run_engine(program, size, use_kernels=False)
+    kern = run_engine(program, size)
+    assert_records_equal(ref, kern, "kernel tier vs use_kernels=False")
+    assert ref["engine"].kernel_runs == 0
+    return kern
 
 
 class TestKernelEquivalence:
@@ -247,7 +264,8 @@ class TestKernelDeopts:
         )
 
     def test_partial_world_deopts(self):
-        """One rank looping by hand denies the whole-world hold."""
+        """Ranks looping by hand leave the held half open: its ring sends
+        land on ranks outside it."""
         iterations = 5
 
         def mixed(kernel_half):
@@ -267,7 +285,7 @@ class TestKernelDeopts:
         kern = run_engine(mixed(True), 4)
         assert_records_equal(ref, kern, "partial world")
         assert kern["engine"].kernel_runs == 0
-        assert kern["engine"].kernel_deopts.get("partial-world") == 1
+        assert kern["engine"].kernel_deopts == {"external-destination": 1}
 
     def test_iteration_mismatch_deopts(self):
         """Unequal iteration counts interpret correctly (self-traffic so
@@ -326,6 +344,20 @@ class TestKernelDeopts:
         assert kern["engine"].kernel_runs == 0
         assert kern["engine"].kernel_deopts.get("wildcard-recv") == 1
 
+    def test_cached_rejection_counts_every_release(self):
+        """A chunked loop whose signature was rejected once keeps
+        deopting from the cache — and keeps being counted."""
+
+        def program(ctx):
+            start = ctx.comm.start_all_op(())
+            drain = ctx.comm.waitall_op(())
+            for chunk in (2, 3, 4):
+                yield KernelLoop(start, drain, chunk)
+
+        engine = run_engine(program, 1)["engine"]
+        assert engine.kernel_runs == 0
+        assert engine.kernel_deopts == {"no-traffic": 3}
+
     def test_capture_send_deopts(self):
         """Payload-capturing sends can change per iteration — the kernel
         refuses them and the micro-step path delivers real payloads."""
@@ -371,6 +403,224 @@ class TestKernelDeopts:
         assert out["results"] == ["done"]
         assert out["engine"].kernel_runs == 0
         assert out["engine"].kernel_deopts.get("no-traffic") == 1
+
+
+DONE_TAG = 50
+TOKEN_TAG = 51
+PING_TAG = 52
+PONG_TAG = 53
+
+
+def report_done_in_ring_order(comm, members, gatherers):
+    """Post-loop tail of a member: send one done message to every gatherer,
+    serialized along the ring by a token. Members leave a loop in whatever
+    order the schedule drains them (the kernel resumes them as one
+    ascending batch, the interpreted expansion as its matching unwinds), so
+    racing sends to a wildcard receive may legally arbitrate either way;
+    the token makes the arrival order causal, hence comparable."""
+    at = members.index(comm.rank)
+    if at:
+        yield from comm.recv(source=members[at - 1], tag=TOKEN_TAG)
+    for dest in gatherers:
+        yield from comm.send(None, dest=dest, tag=DONE_TAG, nbytes=64)
+    if at + 1 < len(members):
+        yield from comm.send(None, dest=members[at + 1], tag=TOKEN_TAG)
+
+
+def gather_done(comm, members):
+    """A gatherer's whole program: one wildcard receive per member,
+    returning the sources in arbitration order."""
+    order = []
+    for _ in members:
+        _, status = yield from comm.recv_status(source=ANY_SOURCE, tag=DONE_TAG)
+        order.append(status.source)
+    return order
+
+
+def sub_world_program(members, iterations, bystander, *, window=True, tail=None):
+    """``members`` split off a sub-communicator and run a KernelLoop ring
+    closed over themselves on the world communicator (with a trailing
+    allreduce on the sub-communicator when ``window``), then ``tail``;
+    every other rank runs ``bystander``."""
+
+    def program(ctx):
+        comm = ctx.comm
+        inside = ctx.rank in members
+        sub = yield from comm.split(color=0 if inside else None, key=ctx.rank)
+        ctx.advance(1e-6 * ctx.rank)  # skewed clocks: the folds must matter
+        if not inside:
+            return (yield from bystander(ctx))
+        start, drain = _ring_ops(comm, members)
+        if window:
+            colls = (sub.allreduce_op(float(ctx.rank), sum_op),)
+            _, reduced = yield KernelLoop(start, drain, iterations, colls)
+        else:
+            reduced = yield KernelLoop(start, drain, iterations)
+        after = None if tail is None else (yield from tail(ctx))
+        return reduced, after
+
+    return program
+
+
+class TestClosedSubWorld:
+    """Held ranks execute closed-form whenever they are a closed
+    sub-world; blocked bystanders neither veto the kernel nor see it."""
+
+    def test_bystander_parked_on_wildcard_for_whole_loop(self):
+        """The fig5 encoder shape: a wildcard gather parked throughout the
+        loop, fed once the members leave it — same arbitration order."""
+        members = [3, 0, 4, 1]
+
+        def bystander(ctx):
+            return (yield from gather_done(ctx.comm, members))
+
+        def tail(ctx):
+            yield from report_done_in_ring_order(ctx.comm, members, [2])
+
+        kern = run_both(sub_world_program(members, 6, bystander, tail=tail), 5)
+        assert kern["results"][2] == members
+        engine = kern["engine"]
+        assert engine.kernel_runs == 1
+        assert engine.kernel_iterations == 6
+        assert engine.kernel_deopts == {}
+
+    def test_bystander_woken_after_the_loop(self):
+        """A bystander waiting on a message one member sends *after* its
+        loop stays blocked through the kernel, then wakes and answers."""
+        members = [1, 2, 3]
+
+        def bystander(ctx):
+            comm = ctx.comm
+            ping = yield from comm.recv(source=2, tag=PING_TAG)
+            yield from comm.send(ping + ctx.rank, dest=1, tag=PONG_TAG)
+            return ping
+
+        def tail(ctx):
+            comm = ctx.comm
+            if ctx.rank == 2:
+                for dest in (0, 4):
+                    yield from comm.send(100, dest=dest, tag=PING_TAG)
+            if ctx.rank == 1:
+                first = yield from comm.recv(source=ANY_SOURCE, tag=PONG_TAG)
+                second = yield from comm.recv(source=ANY_SOURCE, tag=PONG_TAG)
+                return [first, second]
+
+        engine = run_both(
+            sub_world_program(members, 5, bystander, window=False, tail=tail), 5
+        )["engine"]
+        assert engine.kernel_runs == 1
+        assert engine.kernel_iterations == 5
+        assert engine.kernel_deopts == {}
+
+    def test_bystander_in_the_windows_gather_deopts(self):
+        """A bystander already parked in the world allreduce the members'
+        window also names: the window cannot gather its group from the
+        held ranks alone."""
+        members = [0, 1, 2]
+
+        def program(ctx):
+            comm = ctx.comm
+            if ctx.rank not in members:
+                return (yield from comm.allreduce(float(ctx.rank), sum_op))
+            start, drain = _ring_ops(comm, members)
+            _, window = yield KernelLoop(
+                start, drain, 4, (comm.allreduce_op(float(ctx.rank), sum_op),)
+            )
+            return window[0]
+
+        kern = run_both(program, 4)
+        assert kern["results"] == [6.0] * 4
+        assert kern["engine"].kernel_runs == 0
+        assert kern["engine"].kernel_deopts == {"window-mismatch": 1}
+
+    def test_stray_message_in_a_member_mailbox_deopts(self):
+        """A bystander's message sitting unexpected in a member's mailbox
+        on the kernel's communicator keeps the loop interpreted."""
+        members = [0, 1, 2]
+
+        def bystander(ctx):
+            comm = ctx.comm
+            yield from comm.send("stray", dest=0, tag=PING_TAG)
+            return (yield from comm.recv(source=0, tag=PONG_TAG))
+
+        def tail(ctx):
+            comm = ctx.comm
+            if ctx.rank == 0:
+                stray = yield from comm.recv(source=3, tag=PING_TAG)
+                yield from comm.send(stray + "!", dest=3, tag=PONG_TAG)
+                return stray
+
+        engine = run_both(
+            sub_world_program(members, 3, bystander, tail=tail), 4
+        )["engine"]
+        assert engine.kernel_runs == 0
+        assert engine.kernel_deopts == {"mailbox-busy": 1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_ring_sub_worlds_with_blocked_bystanders(self, data):
+        """Any ring over a subset of the world, in any ring order, with or
+        without a trailing window, and every other rank blocked — on a
+        wildcard gather fed by all members after the loop, or on one
+        member's post-loop ping it answers — runs closed-form and matches
+        the interpreted reference, post-loop wildcard arbitration
+        included."""
+        size = data.draw(st.integers(3, 9), label="size")
+        members = data.draw(
+            st.lists(
+                st.integers(0, size - 1),
+                min_size=2,
+                max_size=size - 1,
+                unique=True,
+            ),
+            label="ring",
+        )
+        iterations = data.draw(st.integers(1, 6), label="iterations")
+        window = data.draw(st.booleans(), label="window")
+        outside = [r for r in range(size) if r not in members]
+        # Waiters name the member whose ping they wait for; gatherers
+        # (None) park on a wildcard for every member's done message.
+        roles = {
+            r: data.draw(
+                st.one_of(st.none(), st.sampled_from(members)), label=f"role{r}"
+            )
+            for r in outside
+        }
+        gatherers = [r for r in outside if roles[r] is None]
+        pingers = {
+            m: [r for r in outside if roles[r] == m] for m in members
+        }
+
+        def bystander(ctx):
+            comm = ctx.comm
+            peer = roles[ctx.rank]
+            if peer is None:
+                return (yield from gather_done(comm, members))
+            ping = yield from comm.recv(source=peer, tag=PING_TAG)
+            yield from comm.send(ping + 1, dest=peer, tag=PONG_TAG)
+            return ping
+
+        def tail(ctx):
+            comm = ctx.comm
+            yield from report_done_in_ring_order(comm, members, gatherers)
+            for dest in pingers[ctx.rank]:
+                yield from comm.send(ctx.rank, dest=dest, tag=PING_TAG)
+            pongs = []
+            for _ in pingers[ctx.rank]:
+                pongs.append(
+                    (yield from comm.recv(source=ANY_SOURCE, tag=PONG_TAG))
+                )
+            return pongs
+
+        engine = run_both(
+            sub_world_program(
+                members, iterations, bystander, window=window, tail=tail
+            ),
+            size,
+        )["engine"]
+        assert engine.kernel_runs == 1
+        assert engine.kernel_iterations == iterations
+        assert engine.kernel_deopts == {}
 
 
 class TestKernelValidation:

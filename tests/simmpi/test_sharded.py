@@ -12,11 +12,13 @@ import pytest
 
 from repro.apps import HeatConfig, SpectralConfig, TsunamiConfig
 from repro.apps.workload import (
+    ExecutionMode,
     HeatWorkload,
     ProgramsWorkload,
     SpectralWorkload,
     TsunamiWorkload,
     fig5_workload,
+    with_mode,
 )
 from repro.simmpi import (
     DeadlockError,
@@ -168,6 +170,60 @@ class TestByteIdentity:
         single = Engine(workload.nranks)
         single.run(workload.build_programs())
         assert engine.kernel_iterations == single.kernel_iterations
+
+
+class TestFig5KernelCoverage:
+    """The §V shape runs its whole steady state closed-form: the app ranks
+    are a closed sub-world, the encoders parked on their readiness
+    gathers are bystanders."""
+
+    @staticmethod
+    def _workload(mode=ExecutionMode.KERNELS):
+        workload = fig5_workload(
+            nodes=4, app_per_node=4, iterations=20, checkpoint_every=5
+        )
+        workload.sim_cfg = with_mode(workload.sim_cfg, mode)
+        return workload
+
+    def test_every_segment_executes_as_a_kernel(self):
+        workload = self._workload()
+        tracer = TraceRecorder(workload.nranks, by_kind=True)
+        engine = Engine(workload.nranks, tracer=tracer)
+        states = engine.run(workload.build_programs())
+        clocks = engine.rank_times()
+        assert engine.kernel_runs == 4  # one per checkpoint segment
+        assert engine.kernel_iterations == 20
+        assert engine.kernel_deopts == {}
+        for mode in (ExecutionMode.WAVES, ExecutionMode.PER_MESSAGE):
+            ref_states, ref_clocks, ref_tracer = _reference(self._workload(mode))
+            assert states == ref_states
+            assert clocks == ref_clocks
+            _assert_tracers_equal(tracer, ref_tracer)
+
+    def test_one_inline_shard_reports_the_same_coverage(self):
+        _, _, _, engine = _sharded(self._workload(), 1)
+        assert engine.kernel_runs == 4
+        assert engine.kernel_iterations == 20
+        assert engine.kernel_deopts == {}
+
+    def test_two_shards_deopt_on_the_cut(self, monkeypatch):
+        """The stencil crosses the shard cut, so no held set is closed;
+        every held release is counted, cached rejections included."""
+        _, ref_clocks, ref_tracer = _reference(self._workload())
+        releases = []
+        release = Engine._release_held_kernels
+
+        def counting(shard):
+            releases.append(shard)
+            return release(shard)
+
+        monkeypatch.setattr(Engine, "_release_held_kernels", counting)
+        _, clocks, tracer, engine = _sharded(self._workload(), 2)
+        assert clocks == ref_clocks
+        _assert_tracers_equal(tracer, ref_tracer)
+        assert engine.kernel_iterations == 0
+        assert engine.kernel_deopts == {"external-destination": len(releases)}
+        assert len({id(shard) for shard in releases}) == 2
 
 
 class TestWorkerInvariance:

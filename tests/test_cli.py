@@ -131,6 +131,31 @@ class TestCommands:
         assert "2 worker process(es)" in out
         assert "verified" in out
 
+    def test_sim_reports_what_the_kernel_tier_did(self, capsys):
+        fig5 = ["sim", "--workload", "fig5", "--nodes", "4",
+                "--app-per-node", "4", "--iterations", "20",
+                "--checkpoint-every", "5"]
+        assert main(fig5) == 0
+        assert (
+            "kernels: 4 run(s), 20 iteration(s) closed-form, deopts: none"
+            in capsys.readouterr().out
+        )
+        # Across a shard cut the stencil leaves every held set: merged
+        # over the shards, each release deopts for that one reason.
+        assert main(fig5 + ["--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "kernels: 0 run(s), 0 iteration(s) closed-form" in out
+        assert "deopts: external-destination x" in out
+        # Real payloads never yield a KernelLoop: nothing ran, nothing deopted.
+        assert main(
+            ["sim", "--workload", "heat", "--px", "2", "--py", "2",
+             "--iterations", "4"]
+        ) == 0
+        assert (
+            "kernels: 0 run(s), 0 iteration(s) closed-form, deopts: none"
+            in capsys.readouterr().out
+        )
+
     def test_sim_spectral_sparse_recorder(self, capsys):
         assert main(
             ["sim", "--workload", "spectral", "--nranks", "4",
