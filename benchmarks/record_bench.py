@@ -9,9 +9,10 @@ Three artifact files at the repo root, one record appended per run:
   world ranks) timed four ways: the generator cascade reference
   (``use_fast_collectives=False``), the fast-collective per-message run,
   the *wave-native* run (every steady-state p2p loop posted as
-  persistent-request waves, ``use_waves=True`` on the app config), and
-  the *kernelized* run (the wave loops compiled into closed sub-world
-  iteration kernels, ``use_kernels=True``) — asserting byte-identical
+  persistent-request waves, ``mode=ExecutionMode.WAVES`` on the app
+  config), and the *kernelized* run (the wave loops compiled into closed
+  sub-world iteration kernels, ``ExecutionMode.KERNELS``) — asserting
+  byte-identical
   traces and bit-identical per-rank clocks across all four, the ≥5×
   cascade floor, (against the last pre-wave record) the ≥1.3×
   wave-over-engine floor, and (against the last pre-kernel record) the
@@ -57,6 +58,12 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.apps.workload import (
+    ExecutionMode,
+    FTIWorkload,
+    fig5_workload,
+    with_mode,
+)
 from repro.clustering import (
     distributed_clustering,
     hierarchical_clustering,
@@ -70,6 +77,7 @@ from repro.core import (
     run_query,
 )
 from repro.models import CampaignConfig, CampaignSimulator
+from repro.simmpi import EngineConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 ARTIFACT = ROOT / "BENCH_montecarlo.json"
@@ -219,9 +227,14 @@ def time_campaign(scenario, strategies, n_runs: int = 3):
 
 
 def measure_batched_montecarlo(
-    scenario=None, strategies=None, *, n_samples: int = 2000, repeats: int = 3
+    scenario=None, strategies=None, *, n_samples: int = 2000, repeats: int = 15
 ) -> float:
-    """Batched-path samples/sec (best of ``repeats``) — the CI gate probe."""
+    """Batched-path samples/sec (best of ``repeats``) — the CI gate probe.
+
+    One repeat is ~2 ms, so a handful of them can all land inside one
+    scheduler hiccup of a busy tier-1 run; fifteen (still < 50 ms) let
+    best-of see a quiet slice.
+    """
     scenario = scenario or paper_scenario(iterations=5)
     strategies = strategies or _strategies(scenario)
     queries = [
@@ -246,56 +259,29 @@ def measure_batched_montecarlo(
 
 
 def _fig5_setup(
-    nodes: int,
-    app_per_node: int,
-    iterations: int,
-    *,
-    use_waves: bool = True,
-    use_kernels: bool = False,
+    nodes: int, app_per_node: int, iterations: int, mode=ExecutionMode.WAVES
 ):
     """Programs + placement + network of one §V-style traced execution.
 
-    ``use_waves`` selects the wave-native steady-state loops or the
-    per-message reference; ``use_kernels`` additionally compiles the
-    steady loops into closed sub-world iteration kernels (the production
+    ``mode`` is the app's execution mode (``WAVES`` is the interpreted
+    wave loop, ``PER_MESSAGE`` the reference, ``KERNELS`` the production
     shape). Messages, traces and clocks are identical all three ways
     (asserted by :func:`time_simmpi`).
     """
-    from repro.apps.tsunami import TsunamiConfig, TsunamiSimulation
-    from repro.apps.workload import ExecutionMode
-    from repro.ftilib.tracesim import FTITraceConfig, make_fti_world_programs
-    from repro.machine.placement import FTIPlacement
     from repro.machine.tsubame2 import tsubame2_fti_machine
 
-    n_app = nodes * app_per_node
-    px = 32 if n_app == 1024 else int(np.sqrt(n_app))
-    py = n_app // px
-    if use_kernels:
-        mode = ExecutionMode.KERNELS
-    elif use_waves:
-        mode = ExecutionMode.WAVES
-    else:
-        mode = ExecutionMode.PER_MESSAGE
-    cfg = TsunamiConfig(
-        px=px,
-        py=py,
-        nx=32 * px,
-        ny=768 * py if n_app == 1024 else 32 * py,
-        iterations=iterations,
-        synthetic=True,
-        allreduce_every=0,
-        mode=mode,
+    base = fig5_workload(
+        nodes=nodes, app_per_node=app_per_node, iterations=iterations
     )
-    sim = TsunamiSimulation(cfg)
-    placement = FTIPlacement(nodes, app_per_node)
-    programs = make_fti_world_programs(
-        sim,
-        placement,
+    workload = FTIWorkload(
+        with_mode(base.sim_cfg, mode),
+        nodes=nodes,
+        app_per_node=app_per_node,
         iterations=iterations,
-        trace_cfg=FTITraceConfig(checkpoint_every=25),
+        trace_cfg=base.trace_cfg,
     )
     network = tsubame2_fti_machine(nodes, app_per_node).network
-    return placement, programs, network
+    return workload.placement, workload.build_programs(), network
 
 
 def _run_traced(placement, programs, network, *, fast: bool):
@@ -307,7 +293,7 @@ def _run_traced(placement, programs, network, *, fast: bool):
         placement.nranks,
         network=network,
         tracer=tracer,
-        use_fast_collectives=fast,
+        config=EngineConfig(use_fast_collectives=fast),
     )
     # Earlier runs leave cyclic garbage (generator frames, request
     # graphs); collect it now so a GC pause triggered by the previous
@@ -336,7 +322,10 @@ def measure_simmpi(
     the interpreted wave loop.
     """
     placement, programs, network = _fig5_setup(
-        nodes, app_per_node, iterations, use_kernels=use_kernels
+        nodes,
+        app_per_node,
+        iterations,
+        ExecutionMode.KERNELS if use_kernels else ExecutionMode.WAVES,
     )
     _run_traced(placement, programs, network, fast=True)  # warm-up
     best = float("inf")
@@ -387,7 +376,7 @@ def _run_split(nranks: int, group_size: int, iterations: int, *, fast: bool):
         nranks,
         network=_bench_network(),
         tracer=tracer,
-        use_fast_collectives=fast,
+        config=EngineConfig(use_fast_collectives=fast),
     )
     t0 = time.perf_counter()
     results = engine.run(_split_workload(group_size, iterations))
@@ -497,7 +486,7 @@ def _run_stencil(grid, program, *, batched: bool = True):
         grid.nranks,
         network=_bench_network(),
         tracer=tracer,
-        use_batched_p2p=batched,
+        config=EngineConfig(use_batched_p2p=batched),
     )
     t0 = time.perf_counter()
     engine.run(program)
@@ -642,11 +631,11 @@ def time_simmpi(
 
     * **slow** — generator-cascade collectives, per-message p2p loops;
     * **fast** — vectorized collectives, per-message p2p loops (the PR 4
-      engine shape, ``use_waves=False``);
+      engine shape, ``ExecutionMode.PER_MESSAGE``);
     * **wave** — vectorized collectives plus wave-native steady-state
-      loops (``use_waves=True``, the PR 5 shape);
+      loops (``ExecutionMode.WAVES``, the PR 5 shape);
     * **kernel** — the wave loops compiled into closed sub-world iteration
-      kernels (``use_kernels=True``, the production shape).
+      kernels (``ExecutionMode.KERNELS``, the production shape).
 
     All four must produce byte-identical traces and bit-identical
     per-rank virtual clocks. ``ranks_per_s`` counts rank-iterations per
@@ -654,7 +643,7 @@ def time_simmpi(
     iteration count over the wall time).
     """
     placement, programs, network = _fig5_setup(
-        nodes, app_per_node, iterations, use_waves=False
+        nodes, app_per_node, iterations, ExecutionMode.PER_MESSAGE
     )
     tracer_slow, clocks_slow, slow_s = _run_traced(
         placement, programs, network, fast=False
@@ -663,7 +652,7 @@ def time_simmpi(
         placement, programs, network, fast=True
     )
     _, programs_wave, _ = _fig5_setup(
-        nodes, app_per_node, iterations, use_waves=True
+        nodes, app_per_node, iterations, ExecutionMode.WAVES
     )
     tracer_wave, clocks_wave, wave_s = _run_traced(
         placement, programs_wave, network, fast=True
@@ -673,11 +662,11 @@ def time_simmpi(
     # dispatch), first-call costs the three interpreted runs amortized
     # across each other above. Fresh programs — engine state is per-run.
     _, programs_warm, _ = _fig5_setup(
-        nodes, app_per_node, iterations, use_waves=True, use_kernels=True
+        nodes, app_per_node, iterations, ExecutionMode.KERNELS
     )
     _run_traced(placement, programs_warm, network, fast=True)
     _, programs_kernel, _ = _fig5_setup(
-        nodes, app_per_node, iterations, use_waves=True, use_kernels=True
+        nodes, app_per_node, iterations, ExecutionMode.KERNELS
     )
     tracer_kernel, clocks_kernel, kernel_s = _run_traced(
         placement, programs_kernel, network, fast=True
@@ -800,7 +789,6 @@ def time_sharded(
     narrow hosts from real regressions (the scaling floor in ``main``
     is gated on ``cores >= 4``).
     """
-    from repro.apps.workload import fig5_workload
     from repro.machine.tsubame2 import tsubame2_fti_machine
 
     workload = fig5_workload(
@@ -906,7 +894,6 @@ def _smoke_sharded() -> None:
     multi-process hosting — worker-count invariance is part of the
     contract, so both paths run with the equivalence asserts live.
     """
-    from repro.apps.workload import fig5_workload
     from repro.machine.tsubame2 import tsubame2_fti_machine
 
     workload = fig5_workload(
@@ -937,7 +924,6 @@ def _smoke_sharded() -> None:
 
 def _protocol_setup(*, use_waves: bool, iterations: int):
     from repro.apps.tsunami import TsunamiConfig, TsunamiSimulation
-    from repro.apps.workload import ExecutionMode
     from repro.clustering import naive_clustering
     from repro.machine.machine import Machine
 
@@ -1084,8 +1070,7 @@ def time_interleaving(
         placement.nranks,
         network=network,
         tracer=tracer,
-        schedule_seed=None,
-        schedule_trace=None,
+        config=EngineConfig(schedule_seed=None, schedule_trace=None),
     )
     engine.run(programs_explicit)
     _assert_traced_equal(
@@ -1245,11 +1230,10 @@ def time_service(
     Starts a private server, asserts every query of the standing mix —
     plus one streamed sweep — bit-equal to direct in-process calls
     (:func:`repro.service.loadgen.verify_equivalence`: service ==
-    ``run_query`` == the deprecated ``montecarlo_scores`` /
-    ``expected_waste`` paths), and only then records the concurrent load
-    numbers. The equivalence pass doubles as the warm-up: it touches
-    every table the load run needs, so the recorded rate is the warm,
-    cache-hitting rate a long-lived server would serve at.
+    ``run_query``), and only then records the concurrent load numbers.
+    The equivalence pass doubles as the warm-up: it touches every table
+    the load run needs, so the recorded rate is the warm, cache-hitting
+    rate a long-lived server would serve at.
     """
     from repro.service import ServiceClient, ServiceThread
     from repro.service.loadgen import (
@@ -1404,7 +1388,6 @@ def _smoke_wave_apps() -> None:
     """
     from repro.apps.heat import HeatConfig, HeatSimulation
     from repro.apps.spectral import SpectralConfig, SpectralSimulation
-    from repro.apps.workload import ExecutionMode, with_mode
     from repro.simmpi.engine import Engine
     from repro.simmpi.tracing import TraceRecorder
 

@@ -41,7 +41,6 @@ from repro.apps.workload import (
     TsunamiWorkload,
     Workload,
     fig5_workload,
-    resolve_execution,
     with_mode,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "initial_eta",
     "initial_field",
     "paper_tsunami_config",
-    "resolve_execution",
     "swe_step",
     "synthetic_halo_exchange",
     "with_mode",

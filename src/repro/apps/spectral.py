@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.apps.workload import ExecutionMode, resolve_execution
+from repro.apps.workload import ExecutionMode
 from repro.util.validation import check_positive
 
 
@@ -40,12 +40,7 @@ class SpectralConfig:
     iterations: int = 4
     damping: float = 0.99
     synthetic: bool = False
-    # Execution mode (None resolves to ExecutionMode.KERNELS); the
-    # boolean pair below is the deprecated one-release shim, rewritten to
-    # concrete booleans by resolve_execution so existing readers work.
-    mode: ExecutionMode | None = None
-    use_waves: bool | None = None
-    use_kernels: bool | None = None
+    mode: ExecutionMode = ExecutionMode.KERNELS
 
     def __post_init__(self) -> None:
         check_positive("nranks", self.nranks)
@@ -54,12 +49,6 @@ class SpectralConfig:
             raise ValueError(
                 f"grid side {self.n} not divisible by {self.nranks} ranks"
             )
-        mode, waves, kernels = resolve_execution(
-            self.mode, self.use_waves, self.use_kernels, owner="SpectralConfig"
-        )
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "use_waves", waves)
-        object.__setattr__(self, "use_kernels", kernels)
 
     @property
     def rows_per_rank(self) -> int:
@@ -172,7 +161,7 @@ class SpectralSimulation:
             # send and explicit-source receive of a round before draining
             # it — the wave path and the per-message reference share this
             # structure, so their stamps, traces and clocks are identical.
-            if cfg.use_waves and getattr(comm, "supports_waves", False):
+            if cfg.mode.use_waves and getattr(comm, "supports_waves", False):
                 start, drain = self._transpose_wave(comm, kind=kind)
                 for _ in range(2):
                     yield start
@@ -227,8 +216,7 @@ class SpectralSimulation:
             if (
                 hook is None
                 and self.cfg.synthetic
-                and self.cfg.use_waves
-                and self.cfg.use_kernels
+                and self.cfg.mode.use_kernels
                 and getattr(comm, "supports_waves", False)
                 and state["iteration"] < niter
             ):

@@ -1,15 +1,12 @@
 """The uniform workload API: execution modes and per-rank program factories.
 
-Every traced application used to re-declare its own ``use_waves`` /
-``use_kernels`` switches, and every consumer (single engine, bench
-recorder, fuzz executor, sharded workers) re-assembled rank programs its
-own way. This module unifies both:
+What every consumer (single engine, bench recorder, fuzz executor,
+sharded workers) shares instead of assembling rank programs its own way:
 
 * :class:`ExecutionMode` — the one enum naming how a workload drives the
-  engine (``PER_MESSAGE`` / ``WAVES`` / ``KERNELS``). The app configs
-  accept ``mode=`` and deprecate their ad-hoc boolean flags (one-release
-  :class:`DeprecationWarning`; the booleans keep working and stay
-  readable on the resolved config).
+  engine (``PER_MESSAGE`` / ``WAVES`` / ``KERNELS``). Every app config
+  carries it as its ``mode`` field and nothing else about execution;
+  readers ask the mode (``cfg.mode.use_waves`` / ``cfg.mode.use_kernels``).
 * :class:`Workload` — a *picklable* per-rank program factory protocol:
   ``workload.build_program(rank)`` returns the rank's program callable,
   so a shard worker ships one small object across the process boundary
@@ -28,7 +25,6 @@ do not pickle).
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import replace as _dc_replace
 from enum import Enum
 from typing import Any, Callable, Sequence
@@ -61,68 +57,9 @@ class ExecutionMode(Enum):
         return self is ExecutionMode.KERNELS
 
 
-def _mode_of(use_waves: bool, use_kernels: bool) -> ExecutionMode:
-    """The mode implied by a legacy flag pair (kernels require waves)."""
-    if use_waves and use_kernels:
-        return ExecutionMode.KERNELS
-    if use_waves:
-        return ExecutionMode.WAVES
-    return ExecutionMode.PER_MESSAGE
-
-
-def resolve_execution(
-    mode: ExecutionMode | None,
-    use_waves: bool | None,
-    use_kernels: bool | None,
-    *,
-    owner: str,
-) -> tuple[ExecutionMode, bool, bool]:
-    """Resolve an app config's execution fields to ``(mode, waves, kernels)``.
-
-    The shared ``__post_init__`` helper behind every app config:
-
-    * nothing given — the default, :attr:`ExecutionMode.KERNELS`;
-    * ``mode=`` alone — the new API; booleans derive from the mode;
-    * legacy booleans alone — the deprecated API; a one-release
-      :class:`DeprecationWarning` is emitted and the mode derives from
-      the flags (a missing flag defaults to its historical ``True``);
-    * both — accepted only when they agree (``dataclasses.replace`` on a
-      resolved config round-trips); a contradiction raises so no caller
-      can silently depend on which one wins. Use :func:`with_mode` to
-      switch a resolved config's mode.
-    """
-    if use_waves is None and use_kernels is None:
-        mode = ExecutionMode.KERNELS if mode is None else mode
-        return mode, mode.use_waves, mode.use_kernels
-    waves = True if use_waves is None else bool(use_waves)
-    kernels = True if use_kernels is None else bool(use_kernels)
-    derived = _mode_of(waves, kernels)
-    if mode is None:
-        warnings.warn(
-            f"{owner}(use_waves=…, use_kernels=…) is deprecated; pass "
-            f"mode=ExecutionMode.{derived.name} instead (the boolean "
-            f"flags will be removed one release after 0.4)",
-            DeprecationWarning,
-            stacklevel=4,
-        )
-        return derived, waves, kernels
-    if derived is not mode:
-        raise ValueError(
-            f"{owner}: mode={mode.name} contradicts use_waves={waves} / "
-            f"use_kernels={kernels} (they imply {derived.name}); set one "
-            f"or the other, or use repro.apps.workload.with_mode"
-        )
-    return mode, waves, kernels
-
-
 def with_mode(cfg: Any, mode: ExecutionMode) -> Any:
-    """Copy an app config with its execution mode replaced.
-
-    ``dataclasses.replace(cfg, mode=...)`` alone would carry the old
-    resolved booleans into the contradiction check; this clears them so
-    the new mode resolves cleanly.
-    """
-    return _dc_replace(cfg, mode=mode, use_waves=None, use_kernels=None)
+    """Copy an app config with its execution mode replaced."""
+    return _dc_replace(cfg, mode=mode)
 
 
 class Workload(abc.ABC):
@@ -200,7 +137,7 @@ class _LazyProgramWorkload(Workload):
         )
 
     def __hash__(self):
-        return hash((self.__class__, tuple(sorted(self.__getstate__()))))
+        return hash((self.__class__, tuple(sorted(self.__getstate__().items()))))
 
 
 class HeatWorkload(_LazyProgramWorkload):
@@ -389,6 +326,5 @@ __all__ = [
     "TsunamiWorkload",
     "Workload",
     "fig5_workload",
-    "resolve_execution",
     "with_mode",
 ]

@@ -25,7 +25,6 @@ paths and records samples/sec into ``BENCH_montecarlo.json``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,36 +102,6 @@ def montecarlo_scores(
     rng=None,
     tolerance=rs_half_tolerance,
 ) -> MonteCarloScores:
-    """Deprecated loose-kwarg form of the batched Monte-Carlo evaluation.
-
-    .. deprecated::
-        Construct a :class:`repro.core.query.ReliabilityQuery` with
-        ``metric="montecarlo"`` (:func:`repro.core.query.query_for`
-        converts live scenario/clustering objects) and call
-        :func:`repro.core.query.run_query`; under an integer seed the
-        query path draws and scores the identical event stream. This shim
-        survives one release.
-    """
-    warnings.warn(
-        "montecarlo_scores(...) is deprecated; build a "
-        "ReliabilityQuery(metric='montecarlo') via repro.core.query and "
-        "call run_query (bit-identical under an integer seed)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _montecarlo_scores(
-        scenario, clustering, n_samples=n_samples, rng=rng, tolerance=tolerance
-    )
-
-
-def _montecarlo_scores(
-    scenario: Scenario,
-    clustering: Clustering,
-    *,
-    n_samples: int = 2000,
-    rng=None,
-    tolerance=rs_half_tolerance,
-) -> MonteCarloScores:
     """Sample failures and measure restart fraction + catastrophic rate.
 
     Soft errors roll back the process's own L1 cluster; node events roll
@@ -143,9 +112,9 @@ def _montecarlo_scores(
     erasure configuration of the analytic model being validated (e.g.
     ``xor_tolerance`` when the evaluator scores XOR parity).
 
-    (Internal engine behind the deprecated :func:`montecarlo_scores` shim
-    and the query API's ``metric="montecarlo"``; unlike a query it still
-    accepts live ``numpy`` generators as ``rng``.)
+    This is the engine behind the query API's ``metric="montecarlo"``
+    (bit-identical under an integer seed); unlike a wire query it also
+    accepts live ``numpy`` generators as ``rng`` and tolerance callables.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -225,7 +194,7 @@ def validate_against_analytic(
     sampled restart fraction strays beyond ``restart_tolerance`` of the
     analytic node-failure expectation (adjusted for the soft-error mix).
     """
-    mc = _montecarlo_scores(
+    mc = montecarlo_scores(
         scenario, clustering, n_samples=n_samples, rng=rng, tolerance=tolerance
     )
     model = CatastrophicModel(

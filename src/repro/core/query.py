@@ -8,11 +8,11 @@ The CLI, the experiments, the benchmarks, the fuzzer's oracle and the
 HTTP service (:mod:`repro.service`) all construct the same object; the
 JSON wire format (``to_json``/``from_json``, versioned ``"v": 1``) *is*
 the in-process API, so a query posted over the wire and a query built in
-a test are literally interchangeable. This mirrors the
-:class:`repro.simmpi.config.EngineConfig` redesign of the engine API:
-loose-kwarg entry points (``montecarlo_scores``,
-``CampaignSimulator.expected_waste``) survive one release as
-:class:`DeprecationWarning` shims.
+a test are literally interchangeable. The live-object functions the
+executors stand on (``montecarlo_scores``,
+``CampaignSimulator.expected_waste``) stay public for what a wire query
+cannot carry — live ``numpy`` Generators, tolerance callables,
+``workers > 1`` — and agree with the query path seed for seed.
 
 Queries are cheap value objects; the heavy per-(clustering, placement)
 lookup tables they need are resolved once into a :class:`QueryTables`
@@ -725,34 +725,11 @@ def _run_campaign(query: ReliabilityQuery, tables: QueryTables) -> QueryResult:
     )
 
 
-def _serial_expected_waste(
-    simulator: CampaignSimulator,
-    clustering: Clustering,
-    n_campaigns: int,
-    seed: int,
-) -> float:
-    """The historical serial ``expected_waste`` path: ``n_campaigns``
-    campaigns drawn sequentially from one shared generator — seed-for-seed
-    identical to the deprecated loose-kwarg form with ``workers=1``."""
-    gen = resolve_rng(seed)
-    return float(
-        np.mean(
-            [
-                simulator.run(clustering, rng=gen).waste_fraction
-                for _ in range(n_campaigns)
-            ]
-        )
-    )
-
-
 def _run_expected_waste(
     query: ReliabilityQuery, tables: QueryTables
 ) -> QueryResult:
-    waste = _serial_expected_waste(
-        _simulator(query, tables),
-        tables.clustering,
-        query.n_campaigns,
-        query.seed,
+    waste = _simulator(query, tables).expected_waste(
+        tables.clustering, n_campaigns=query.n_campaigns, rng=query.seed
     )
     return QueryResult(
         metric="expected_waste",
@@ -820,8 +797,8 @@ def iter_waste_curve(query: ReliabilityQuery, tables: QueryTables):
         simulator = CampaignSimulator(
             tables.machine, cfg, taxonomy=query.taxonomy
         )
-        waste = _serial_expected_waste(
-            simulator, clustering, query.n_campaigns, query.seed
+        waste = simulator.expected_waste(
+            clustering, n_campaigns=query.n_campaigns, rng=query.seed
         )
         yield (float(interval), waste)
 

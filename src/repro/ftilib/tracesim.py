@@ -16,14 +16,16 @@ every structure the paper points out in the zoomed matrix:
   run over the full 1088-rank world communicator.
 
 The steady-state point-to-point loops are *wave-native* when the
-application's ``use_waves`` flag is set (the default): each repeated
+application config's ``mode`` posts waves (``WAVES`` / ``KERNELS``, the
+default): each repeated
 per-iteration pattern — the app's checkpoint-ready notification, the
 encoder's per-round readiness gather, each ring hop of the Reed–Solomon
 exchange — is compiled once into persistent requests and re-posted with
 ``start_all`` / drained with ``waitall``, so a matching-point window costs
 two engine yields instead of one interaction per message. Posting order,
 matching stamps, traces and clocks are identical to the per-message
-reference (``use_waves=False`` on the simulation config pins it).
+reference (``mode=ExecutionMode.PER_MESSAGE`` on the simulation config
+pins it).
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ def make_fti_world_programs(
     n_ckpts = len(
         [i for i in range(iterations) if i and i % cfg.checkpoint_every == 0]
     )
-    # Wave-native steady-state loops follow the application's flag so app
+    # Wave-native steady-state loops follow the application's mode so app
     # halo waves and FTI control waves pin on/off together.
-    use_waves = bool(getattr(sim.cfg, "use_waves", False))
+    use_waves = sim.cfg.mode.use_waves
 
     def app_program(ctx):
         comm = ctx.comm
@@ -116,9 +118,8 @@ def make_fti_world_programs(
             app_comm.rank
         )
         if (
-            use_waves
-            and sim.cfg.synthetic
-            and getattr(sim.cfg, "use_kernels", False)
+            sim.cfg.synthetic
+            and sim.cfg.mode.use_kernels
             and getattr(app_comm, "supports_waves", False)
         ):
             # Kernelized steady state: between checkpoint-ready sends the

@@ -57,7 +57,13 @@ from repro.fuzz.shape import FuzzShape
 from repro.hydee.logging import ReplayMismatchError
 from repro.hydee.protocol import run_with_protocol
 from repro.hydee.recovery import ContainedRecoveryError, RecoveryManager
-from repro.simmpi import DeadlockError, Engine, ScheduleTrace, run_program
+from repro.simmpi import (
+    DeadlockError,
+    Engine,
+    EngineConfig,
+    ScheduleTrace,
+    run_program,
+)
 
 CLASSIFICATIONS = (
     "crash",
@@ -139,8 +145,10 @@ def _schedule_check(
     seeded = Engine(
         shape.nranks,
         network=machine.network,
-        schedule_seed=None if trace is not None else scenario.schedule_seed,
-        schedule_trace=trace,
+        config=EngineConfig(
+            schedule_seed=None if trace is not None else scenario.schedule_seed,
+            schedule_trace=trace,
+        ),
     )
     seeded.failure_ranks.update(victims)
     outcome = _engine_outcome(
@@ -212,9 +220,11 @@ def _engine_check(scenario: FuzzScenario) -> tuple[bool, bool, dict, str, tuple 
     reference = Engine(
         shape.nranks,
         network=machine.network,
-        use_fast_collectives=False,
-        use_batched_p2p=False,
-        use_kernels=False,
+        config=EngineConfig(
+            use_fast_collectives=False,
+            use_batched_p2p=False,
+            use_kernels=False,
+        ),
     )
     reference.failure_ranks.update(victims)
     ref_outcome = _engine_outcome(

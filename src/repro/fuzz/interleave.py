@@ -31,6 +31,7 @@ from repro.simmpi import (
     ANY_SOURCE,
     DeadlockError,
     Engine,
+    EngineConfig,
     ScheduleTrace,
     TraceRecorder,
 )
@@ -160,8 +161,9 @@ def run_schedule(
         nranks,
         network=network,
         tracer=tracer,
-        schedule_seed=schedule_seed,
-        schedule_trace=schedule_trace,
+        config=EngineConfig(
+            schedule_seed=schedule_seed, schedule_trace=schedule_trace
+        ),
     )
     trace: tuple = ()
     try:

@@ -19,8 +19,8 @@ pool slots*: the message log records payload snapshots at send-post time
 counts receives as their waits consume them into
 :class:`~repro.simmpi.request.MessageView`\\ s. Slot reuse inside the pool
 is therefore invisible to checkpoint sidecars and to replay — and so is
-the *posting shape*: wave-native applications (``use_waves=True``, the
-default) post their halo loops as persistent-request waves, whose sends
+the *posting shape*: wave-native applications (every ``mode`` but
+``PER_MESSAGE``) post their halo loops as persistent-request waves, whose sends
 run through the same logging post path and whose drained receives are
 consumed into the same views at the same per-channel positions, so logs,
 receive counts, sidecars and clocks are bit-for-bit those of the

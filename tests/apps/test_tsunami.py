@@ -142,7 +142,7 @@ class TestSyntheticMode:
 
 
 class TestWaveEquivalence:
-    """use_waves=True and the per-message reference are one workload."""
+    """Wave-posting modes and the per-message reference are one workload."""
 
     def _run(self, cfg):
         from repro.simmpi import Engine, TraceRecorder

@@ -1,5 +1,6 @@
-"""Workload protocol, ExecutionMode resolution and the deprecation shim."""
+"""Workload protocol and the one execution-mode field of the app configs."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -17,7 +18,6 @@ from repro.apps.workload import (
     SpectralWorkload,
     TsunamiWorkload,
     fig5_workload,
-    resolve_execution,
     with_mode,
 )
 
@@ -32,43 +32,37 @@ class TestExecutionMode:
         assert ExecutionMode.KERNELS.use_kernels
 
 
+APP_CONFIGS = [HeatConfig, TsunamiConfig, SpectralConfig]
+
+
 class TestResolveExecution:
+    """``mode`` is the only execution field an app config has."""
+
     def test_nothing_defaults_to_kernels(self):
-        mode, waves, kernels = resolve_execution(None, None, None, owner="X")
-        assert mode is ExecutionMode.KERNELS
-        assert waves and kernels
+        for config in APP_CONFIGS:
+            assert config().mode is ExecutionMode.KERNELS
 
     def test_mode_alone_derives_booleans(self):
-        mode, waves, kernels = resolve_execution(
-            ExecutionMode.WAVES, None, None, owner="X"
-        )
-        assert mode is ExecutionMode.WAVES
-        assert waves and not kernels
-
-    def test_legacy_flags_warn_and_derive(self):
-        with pytest.warns(DeprecationWarning, match="mode=ExecutionMode.WAVES"):
-            mode, waves, kernels = resolve_execution(
-                None, True, False, owner="X"
-            )
-        assert mode is ExecutionMode.WAVES
-
-    def test_legacy_missing_flag_defaults_true(self):
-        with pytest.warns(DeprecationWarning):
-            mode, _, _ = resolve_execution(None, None, False, owner="X")
-        assert mode is ExecutionMode.WAVES  # waves defaulted to True
-        with pytest.warns(DeprecationWarning):
-            mode, _, _ = resolve_execution(None, True, None, owner="X")
-        assert mode is ExecutionMode.KERNELS  # kernels defaulted to True
+        for config in APP_CONFIGS:
+            cfg = config(mode=ExecutionMode.WAVES)
+            assert cfg.mode is ExecutionMode.WAVES
+            assert cfg.mode.use_waves and not cfg.mode.use_kernels
+            assert not hasattr(cfg, "use_waves")
+            assert not hasattr(cfg, "use_kernels")
 
     def test_agreeing_mode_and_flags_round_trip(self):
-        mode, waves, kernels = resolve_execution(
-            ExecutionMode.KERNELS, True, True, owner="X"
-        )
-        assert mode is ExecutionMode.KERNELS
+        """``dataclasses.replace`` and pickling carry the mode through."""
+        for mode in ExecutionMode:
+            cfg = TsunamiConfig(px=2, py=2, mode=mode)
+            assert dataclasses.replace(cfg, iterations=3).mode is mode
+            assert pickle.loads(pickle.dumps(cfg)) == cfg
 
     def test_contradiction_raises(self):
-        with pytest.raises(ValueError, match="contradicts"):
-            resolve_execution(ExecutionMode.KERNELS, False, False, owner="X")
+        """A boolean beside ``mode`` cannot contradict it: it cannot be passed."""
+        for config in APP_CONFIGS:
+            for flag in ("use_waves", "use_kernels"):
+                with pytest.raises(TypeError, match="unexpected keyword"):
+                    config(mode=ExecutionMode.KERNELS, **{flag: False})
 
 
 class TestWithMode:
@@ -76,13 +70,18 @@ class TestWithMode:
         cfg = HeatConfig(px=2, py=2, mode=ExecutionMode.KERNELS)
         switched = with_mode(cfg, ExecutionMode.PER_MESSAGE)
         assert switched.mode is ExecutionMode.PER_MESSAGE
-        assert not switched.use_waves
-        assert not switched.use_kernels
+        assert not switched.mode.use_waves
+        assert not switched.mode.use_kernels
+        assert (switched.px, switched.py) == (2, 2)
+        assert cfg.mode is ExecutionMode.KERNELS  # a copy, not a mutation
 
-    def test_config_flags_accept_legacy_spelling(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = TsunamiConfig(px=2, py=2, use_waves=False, use_kernels=False)
-        assert cfg.mode is ExecutionMode.PER_MESSAGE
+    def test_config_flags_reject_legacy_spelling(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            TsunamiConfig(px=2, py=2, use_waves=False, use_kernels=False)
+        for config in APP_CONFIGS:
+            for flag in ("use_waves", "use_kernels"):
+                with pytest.raises(TypeError, match="unexpected keyword"):
+                    config(**{flag: False})
 
 
 class TestWorkloadProtocol:
@@ -105,6 +104,18 @@ class TestWorkloadProtocol:
         assert clone.nranks == workload.nranks
         assert "_program_cache" not in clone.__dict__  # cache dropped
         assert len(clone.build_programs()) == clone.nranks
+
+    def test_hash_follows_the_pickled_state(self):
+        """Equal workloads hash equal; different worlds do not collide."""
+        small = HeatWorkload(HeatConfig(px=2, py=2))
+        assert hash(small) == hash(HeatWorkload(HeatConfig(px=2, py=2)))
+        assert hash(small) != hash(HeatWorkload(HeatConfig(px=4, py=4)))
+        fig5 = fig5_workload(nodes=2, app_per_node=2, iterations=2)
+        assert hash(fig5) == hash(pickle.loads(pickle.dumps(fig5)))
+        assert hash(fig5) != hash(
+            fig5_workload(nodes=2, app_per_node=2, iterations=3)
+        )
+        assert len({small, fig5, pickle.loads(pickle.dumps(fig5))}) == 2
 
     def test_build_program_validates_rank(self):
         workload = HeatWorkload(HeatConfig(px=2, py=2))

@@ -1,8 +1,9 @@
 """ReliabilityQuery API tests: validation, wire format, exact equivalence.
 
-The query layer promises *bit-equality* with the loose-kwarg entry points
-it replaced — same seed, same draws, same floats — so the equivalence
-tests here assert ``==``, not ``approx``.
+The query layer promises *bit-equality* with the live-object functions
+beside it (``montecarlo_scores``, ``CampaignSimulator.expected_waste``) —
+same seed, same draws, same floats — so the equivalence tests here
+assert ``==``, not ``approx``.
 """
 
 import pickle
@@ -160,16 +161,12 @@ class TestWireFormat:
 
 
 class TestExactEquivalence:
-    """The API redesign's core promise: shims and queries draw the same
-    streams, so results are float-for-float identical."""
+    """The query API's core promise: direct functions and queries draw
+    the same streams, so results are float-for-float identical."""
 
     def test_montecarlo_matches_legacy(self, scenario):
         clustering = distributed_clustering(scenario.placement, 16)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = montecarlo_scores(
-                scenario, clustering, n_samples=800, rng=17
-            )
+        legacy = montecarlo_scores(scenario, clustering, n_samples=800, rng=17)
         result = run_query(
             query_for(scenario, clustering, n_samples=800, seed=17)
         )
@@ -186,9 +183,7 @@ class TestExactEquivalence:
             node_mtbf_s=0.25 * 365 * 24 * 3600.0,
         )
         sim = CampaignSimulator(scenario.machine, config)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = sim.expected_waste(clustering, n_campaigns=2, rng=11)
+        legacy = sim.expected_waste(clustering, n_campaigns=2, rng=11)
         result = run_query(
             query_for(
                 scenario,
@@ -316,14 +311,17 @@ class TestQueryFor:
         assert resolve_query(a) is resolve_query(b)
 
 
-class TestShims:
-    def test_montecarlo_scores_warns(self, scenario):
-        with pytest.warns(DeprecationWarning, match="ReliabilityQuery"):
+class TestLiveObjectFunctions:
+    """The two direct functions are first-class API, not deprecated shims."""
+
+    def test_montecarlo_scores_emits_no_warning(self, scenario):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             montecarlo_scores(
                 scenario, naive_clustering(1024, 32), n_samples=10, rng=0
             )
 
-    def test_expected_waste_warns(self, scenario):
+    def test_expected_waste_emits_no_warning(self, scenario):
         sim = CampaignSimulator(
             scenario.machine,
             CampaignConfig(
@@ -332,5 +330,6 @@ class TestShims:
                 node_mtbf_s=365 * 24 * 3600.0,
             ),
         )
-        with pytest.warns(DeprecationWarning, match="ReliabilityQuery"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sim.expected_waste(naive_clustering(1024, 32), n_campaigns=1, rng=0)

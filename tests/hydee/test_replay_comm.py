@@ -148,14 +148,14 @@ class TestRefusals:
         assert ReplayCommunicator.supports_waves is False
 
     def test_wave_native_app_steps_fall_back_to_per_message(self):
-        """A wave-native simulation (use_waves=True, the default) steps
+        """A wave-native simulation (mode.use_waves, the default) steps
         transparently through a ReplayCommunicator — the app detects the
         missing wave support instead of calling the refused API."""
         from repro.apps import TsunamiConfig, TsunamiSimulation
 
         cfg = TsunamiConfig(px=2, py=2, nx=8, ny=8, iterations=2)
         sim = TsunamiSimulation(cfg)
-        assert cfg.use_waves
+        assert cfg.mode.use_waves
         log = MessageLog(np.array([0, 0, 1, 1]))
 
         def body(comm):
@@ -178,7 +178,7 @@ class TestRefusals:
         assert sorted((r.src, r.dst) for r in outbound) == [(0, 2), (1, 3)]
 
     def test_kernel_flagged_app_falls_back_through_replay(self):
-        """A kernel-flagged app (use_kernels=True, the default) never
+        """A kernel-flagged app (mode.use_kernels, the default) never
         emits a KernelLoop under a ReplayCommunicator: the gate keys off
         ``supports_waves`` exactly like the wave fallback, so the whole
         rank program — not just one step — runs per-message. (If the gate
@@ -193,7 +193,7 @@ class TestRefusals:
             allreduce_every=0,
         )
         sim = TsunamiSimulation(cfg)
-        assert cfg.use_kernels and cfg.use_waves
+        assert cfg.mode.use_kernels and cfg.mode.use_waves
         log = MessageLog(np.array([0, 0, 1, 1]))
         edge = cfg.grid.tile_nx * 3 * 8
         for _ in range(cfg.iterations):

@@ -2,10 +2,9 @@
 
 import pickle
 
-import numpy as np
 import pytest
 
-from repro.simmpi import Engine, EngineConfig, TraceRecorder
+from repro.simmpi import Engine, EngineConfig, run_program
 
 
 def _ping_pong(ctx):
@@ -71,22 +70,31 @@ class TestPickling:
 class TestEngineIntegration:
     def test_config_is_primary_constructor(self):
         cfg = EngineConfig(use_batched_p2p=False, use_kernels=False)
-        tracer_a = TraceRecorder(2)
-        tracer_b = TraceRecorder(2)
-        Engine(2, config=cfg, tracer=tracer_a).run([_ping_pong] * 2)
-        Engine(
-            2, use_batched_p2p=False, use_kernels=False, tracer=tracer_b
-        ).run([_ping_pong] * 2)
-        np.testing.assert_array_equal(
-            tracer_a.bytes_matrix, tracer_b.bytes_matrix
-        )
-
-    def test_legacy_kwargs_build_the_same_config(self):
-        engine = Engine(2, use_fast_collectives=False, pool_capacity=9)
-        assert engine.config == EngineConfig(
-            use_fast_collectives=False, pool_capacity=9
-        )
+        engine = Engine(2, config=cfg)
+        assert engine.config is cfg
+        assert not engine.use_batched_p2p and not engine.use_kernels
+        assert Engine(2).config == EngineConfig()
+        assert engine.run([_ping_pong] * 2) == Engine(2).run([_ping_pong] * 2)
 
     def test_config_and_legacy_kwargs_conflict(self):
-        with pytest.raises(TypeError, match="legacy keyword"):
-            Engine(2, config=EngineConfig(), pool_capacity=9)
+        """Every knob lives on the config: any loose keyword is a TypeError,
+        with or without a config beside it."""
+        for loose in (
+            {"use_fast_collectives": False},
+            {"use_batched_p2p": False},
+            {"use_kernels": False},
+            {"pool_capacity": 9},
+            {"schedule_seed": 1},
+            {"schedule_trace": None},
+        ):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                Engine(2, **loose)
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                Engine(2, config=EngineConfig(), **loose)
+
+    def test_run_program_takes_only_a_config(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run_program(_ping_pong, 2, schedule_seed=1)
+        assert run_program(
+            _ping_pong, 2, config=EngineConfig(schedule_seed=1)
+        ) == run_program(_ping_pong, 2)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simmpi import ANY_SOURCE, Engine, KernelLoop, TraceRecorder
+from repro.simmpi import ANY_SOURCE, Engine, EngineConfig, KernelLoop, TraceRecorder
 from repro.simmpi.collectives import max_op, sum_op
 from repro.simmpi.errors import MatchingError
 
@@ -65,10 +65,13 @@ def interpreted_ring_program(iterations):
     return program
 
 
-def run_engine(program, size, **engine_kwargs):
+def run_engine(program, size, **config_fields):
     tracer = TraceRecorder(size, by_kind=True)
     engine = Engine(
-        size, network=two_level_network(), tracer=tracer, **engine_kwargs
+        size,
+        network=two_level_network(),
+        tracer=tracer,
+        config=EngineConfig(**config_fields),
     )
     results = engine.run(program)
     return {
@@ -242,7 +245,7 @@ class TestKernelDeopts:
                 4,
                 network=two_level_network(),
                 tracer=tracer,
-                use_kernels=use_kernels,
+                config=EngineConfig(use_kernels=use_kernels),
             )
             engine.message_log = Log()
             results = engine.run(kernel_ring_program(iterations))

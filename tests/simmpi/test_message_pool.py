@@ -16,6 +16,7 @@ from repro.simmpi import (
     ANY_SOURCE,
     ANY_TAG,
     Engine,
+    EngineConfig,
     MessagePool,
     TraceRecorder,
 )
@@ -29,7 +30,9 @@ class TestSlotLifecycle:
     def test_slot_reuse_after_wildcard_receive(self):
         """A wildcard-consumed slot is recycled for later traffic while the
         earlier receive's view stays intact."""
-        engine = Engine(3, network=two_level_network(), pool_capacity=1)
+        engine = Engine(
+            3, network=two_level_network(), config=EngineConfig(pool_capacity=1)
+        )
 
         def program(ctx):
             if ctx.rank == 0:
@@ -69,7 +72,9 @@ class TestSlotLifecycle:
         """Many in-flight messages double the pool transparently."""
         size = 8
         rounds = 6
-        engine = Engine(size, network=two_level_network(), pool_capacity=2)
+        engine = Engine(
+            size, network=two_level_network(), config=EngineConfig(pool_capacity=2)
+        )
 
         def program(ctx):
             reqs = []
@@ -94,7 +99,9 @@ class TestSlotLifecycle:
 
     def test_unconsumed_messages_recycle_on_next_run(self):
         """Fire-and-forget traffic releases its slots at the next run()."""
-        engine = Engine(2, network=two_level_network(), pool_capacity=4)
+        engine = Engine(
+            2, network=two_level_network(), config=EngineConfig(pool_capacity=4)
+        )
 
         def fire_and_forget(ctx):
             yield from ctx.comm.isend(None, dest=1 - ctx.rank, tag=7, nbytes=32)
@@ -118,7 +125,9 @@ class TestRecipeConsistency:
             1, 0, 7, 0, b"pinned", len(b"pinned"), 0.5, UNPRICED, 0, "halo"
         )
 
-        engine = Engine(2, network=two_level_network(), pool_capacity=8)
+        engine = Engine(
+            2, network=two_level_network(), config=EngineConfig(pool_capacity=8)
+        )
 
         def program(ctx):
             if ctx.rank == 1:
@@ -149,7 +158,9 @@ class TestRecipeConsistency:
         ref_slot = reference.post(0, 1, 3, 0, b"x" * 9, 9, 0.0, 2.25, 5, "p2p")
         ref_view = reference.consume(ref_slot)
 
-        engine = Engine(2, network=two_level_network(), pool_capacity=8)
+        engine = Engine(
+            2, network=two_level_network(), config=EngineConfig(pool_capacity=8)
+        )
         holder = {}
 
         def program(ctx):
@@ -180,7 +191,9 @@ class TestFailureInjection:
         """Messages addressed to a failed rank park in its mailbox for the
         rest of the run; the next run starts from a fully-free pool and a
         fresh matching state, so the stale traffic can never be matched."""
-        engine = Engine(3, network=two_level_network(), pool_capacity=2)
+        engine = Engine(
+            3, network=two_level_network(), config=EngineConfig(pool_capacity=2)
+        )
         engine.failure_ranks.add(2)
 
         def program(ctx):
@@ -209,7 +222,9 @@ class TestFailureInjection:
         outcomes = []
         for batched in (False, True):
             engine = Engine(
-                4, network=two_level_network(), use_batched_p2p=batched
+                4,
+                network=two_level_network(),
+                config=EngineConfig(use_batched_p2p=batched),
             )
             engine.failure_ranks.add(1)
 
@@ -252,7 +267,9 @@ class TestPickleSafety:
         """
         from repro.simmpi import zero_latency_network
 
-        engine = Engine(4, network=zero_latency_network(), pool_capacity=8)
+        engine = Engine(
+            4, network=zero_latency_network(), config=EngineConfig(pool_capacity=8)
+        )
         clone = pickle.loads(pickle.dumps(engine))
 
         def program(ctx):
@@ -548,7 +565,9 @@ class TestPersistentWaves:
         """Wave sends parked in a failed rank's mailbox stay stranded for
         the run and are dropped by the next run's reset — exactly the
         per-message requeue/drop contract pinned in TestFailureInjection."""
-        engine = Engine(3, network=two_level_network(), pool_capacity=2)
+        engine = Engine(
+            3, network=two_level_network(), config=EngineConfig(pool_capacity=2)
+        )
         engine.failure_ranks.add(2)
 
         def fire_wave(ctx):
