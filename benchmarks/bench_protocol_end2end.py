@@ -87,15 +87,45 @@ def bench_protocol_run_permsg(benchmark):
     assert result.checkpointer.stats.local_writes == 16 * 3
 
 
+def assert_protocol_runs_equal(ref, waved) -> None:
+    """Assert two protocol runs are indistinguishable end-to-end:
+    bit-identical states and clocks, identical receive counts, and
+    channel-identical logs (tags, sizes, payloads)."""
+    for rank, (ref_state, wave_state) in enumerate(zip(ref.states, waved.states)):
+        for key in ("eta", "u", "v"):
+            assert np.array_equal(ref_state[key], wave_state[key]), (
+                f"rank {rank}: state field {key!r} diverges"
+            )
+    assert ref.engine.rank_times() == waved.engine.rank_times(), (
+        "virtual clocks diverge"
+    )
+    assert ref.engine.recv_counts == waved.engine.recv_counts, (
+        "receive counts diverge"
+    )
+    ref_log, wave_log = ref.log, waved.log
+    assert sorted(ref_log.channels) == sorted(wave_log.channels), (
+        "logged channels diverge"
+    )
+    for channel, entries in ref_log.channels.items():
+        others = wave_log.channels[channel]
+        assert len(entries) == len(others), f"log channel {channel} diverges"
+        for entry, other in zip(entries, others):
+            assert (entry.tag, entry.nbytes) == (other.tag, other.nbytes), (
+                f"log channel {channel} diverges"
+            )
+            if isinstance(entry.payload, np.ndarray):
+                assert np.array_equal(entry.payload, other.payload), (
+                    f"log channel {channel}: payload diverges"
+                )
+    assert ref_log.logged_bytes == wave_log.logged_bytes, (
+        "logged bytes diverge"
+    )
+
+
 class TestWaveEquivalence:
     """The wave-native protocol run is indistinguishable end-to-end."""
 
     def test_wave_run_matches_per_message_run(self):
-        # Shared equivalence contract (same-directory module, like the
-        # tests' sibling imports): one owner for what "indistinguishable"
-        # means, used by both this test and the bench recorder.
-        from record_bench import assert_protocol_runs_equal
-
         runs = {}
         for use_waves in (False, True):
             sim, machine, clustering = build_setup(use_waves=use_waves)

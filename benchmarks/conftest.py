@@ -13,13 +13,10 @@ The sampling-heavy benches (``bench_montecarlo_validation``,
 are drawn as whole NumPy batches and scored by indexing the precomputed
 per-(clustering, placement) lookup tables of :mod:`repro.core.tables`,
 which the session-scoped fixtures below implicitly share across benches
-(tables are memoized on the clustering/placement objects). To profile the
-hot path or record the perf trajectory, run
-``PYTHONPATH=src python benchmarks/record_bench.py`` — it times the scalar
-reference path against the batched engine at ``n_samples=2000`` and
-appends samples/sec to ``BENCH_montecarlo.json``; for finer profiling,
-``python -m cProfile -m benchmarks.record_bench`` attributes the remaining
-time (it should be RNG draws and table lookups, not per-event Python).
+(tables are memoized on the clustering/placement objects). These benches
+assert shapes, not speed: perf numbers are recorded only by the ledger
+(``BENCHMARK.json`` + ``benchmarks/ledger/``), whose ``paper-exhibits``
+workload carries the batched rate as ``core.montecarlo.samples_per_s``.
 """
 
 from __future__ import annotations

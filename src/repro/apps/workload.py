@@ -1,6 +1,6 @@
 """The uniform workload API: execution modes and per-rank program factories.
 
-What every consumer (single engine, bench recorder, fuzz executor,
+What every consumer (single engine, perf ledger, fuzz executor,
 sharded workers) shares instead of assembling rank programs its own way:
 
 * :class:`ExecutionMode` — the one enum naming how a workload drives the

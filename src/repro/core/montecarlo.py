@@ -19,8 +19,8 @@ and catastrophic verdict of every possible contiguous node run are
 computed once and reused across samples, seeds and strategies. The
 per-event loop survives as :func:`montecarlo_scores_scalar`, the reference
 implementation the equivalence tests compare against; it is 10–100×
-slower. Profile with ``benchmarks/record_bench.py``, which times both
-paths and records samples/sec into ``BENCH_montecarlo.json``.
+slower. The batched rate is the ledger's ``core.montecarlo.samples_per_s``
+layer metric (``benchmarks/ledger/``, workload ``paper-exhibits``).
 """
 
 from __future__ import annotations

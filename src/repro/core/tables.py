@@ -27,9 +27,10 @@ Performance notes
 -----------------
 Building a table is ``O(nranks + nclusters × nnodes)`` — microseconds at
 the paper's 1024-rank scale — and evaluating an event batch afterwards is
-``O(n_events)`` NumPy indexing with zero per-event Python. Run
-``benchmarks/record_bench.py`` to measure the scalar-vs-batched gap and
-record it in ``BENCH_montecarlo.json``.
+``O(n_events)`` NumPy indexing with zero per-event Python. The ledger
+(``benchmarks/ledger/``) records the batched rate as
+``core.montecarlo.samples_per_s`` and table sizes as
+``core.tables.nbytes_mb.*``.
 
 Reference path & invariants
 ---------------------------
@@ -40,10 +41,9 @@ batched ``montecarlo_scores`` must agree with it seed for seed — same RNG
 streams, same per-event restart fractions and catastrophic verdicts — so
 the tables are an *encoding* of the models, never an approximation.
 ``tests/core/test_eval_tables.py`` asserts the equivalence (plus table
-properties against brute-force recomputation), and
-``benchmarks/record_bench.py`` re-asserts statistical agreement before
-recording a rate. The scalar path is forced simply by calling it; there is
-no observer that silently changes which path runs.
+properties against brute-force recomputation). The scalar path is forced
+simply by calling it; there is no observer that silently changes which
+path runs.
 """
 
 from __future__ import annotations

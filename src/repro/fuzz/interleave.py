@@ -14,7 +14,7 @@ schedule against the canonical one. Two workloads:
 * ``"race-demo"`` — a three-rank wildcard race that legally deadlocks
   under roughly half of all schedules. It exists so the divergence →
   shrink → repro-file → replay pipeline itself is exercised end to end
-  by fast tests and the bench smoke.
+  by fast tests.
 
 A finding serializes to a versioned ``"kind": "interleaving"`` repro
 file; ``python -m repro fuzz --replay`` re-executes it from the recorded

@@ -20,9 +20,8 @@ latency. The moving parts:
   vectorized pass (bit-identical to running alone);
 * :class:`~repro.service.http.ReliabilityService` — the asyncio HTTP
   front end, with chunked streaming for large sweep queries;
-* :mod:`~repro.service.loadgen` — the load generator behind
-  ``BENCH_service.json``, which asserts service results bit-equal to
-  direct in-process calls before recording any rate.
+* :mod:`~repro.service.loadgen` — the self-test harness, which asserts
+  service results bit-equal to direct in-process calls.
 
 Run it with ``python -m repro serve`` (``--self-test`` starts a server,
 drives it, checks equivalence and shuts down — the CI smoke).
@@ -33,17 +32,15 @@ from repro.service.dispatch import Dispatcher
 from repro.service.engine import QueryEngine
 from repro.service.http import ReliabilityService, ServiceThread
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.loadgen import LoadReport, run_load, run_self_test
+from repro.service.loadgen import run_self_test
 
 __all__ = [
     "Dispatcher",
-    "LoadReport",
     "QueryEngine",
     "ReliabilityService",
     "ServiceClient",
     "ServiceError",
     "ServiceThread",
     "TableCache",
-    "run_load",
     "run_self_test",
 ]

@@ -154,7 +154,12 @@ class ReliabilityService:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            error = f"bad Content-Length header: {raw_length!r}"
+            writer.write(_response(400, "Bad Request", {"error": error}))
+            return
+        length = int(raw_length)
         if length > _MAX_BODY:
             writer.write(
                 _response(413, "Payload Too Large", {"error": "body too large"})

@@ -3,9 +3,9 @@
 The single-process :class:`~repro.simmpi.engine.Engine` runs the whole
 world in one scheduler; this module partitions the simulated world into
 per-shard subworlds and runs each in its own process, exchanging only
-boundary messages, partial-collective gathers and clock frontiers at
-window boundaries. The design exploits the engine's buffered-send
-semantics: a send completes at post time and its arrival is priced from
+boundary messages and partial-collective gathers at window boundaries.
+The design exploits the engine's buffered-send semantics: a send
+completes at post time and its arrival is priced from
 the *sender's* clock, so a boundary message carries its own timing — no
 clock-lookahead constraint is needed, and the conservative window is
 simply "drain every shard until all owned ranks are blocked on external
@@ -68,7 +68,6 @@ than a hope.
 from __future__ import annotations
 
 import gc
-import math
 import multiprocessing as mp
 import pickle
 import traceback
@@ -323,15 +322,6 @@ class ShardEngine(Engine):
 
     # -- reporting ----------------------------------------------------------
 
-    def clock_frontier(self) -> float:
-        """Minimum clock over unfinished owned ranks (``inf`` when done)."""
-        frontier = math.inf
-        for rank in self._owned:
-            state = self._states[rank]
-            if state is not None and not state.finished:
-                frontier = min(frontier, state.ctx.clock)
-        return frontier
-
     def blocked_ranks(self) -> list[tuple[int, str, tuple | None]]:
         """Attribution input for the coordinator's global deadlock report.
 
@@ -408,7 +398,6 @@ class _ShardRunner:
             "unfinished": any(
                 not eng._states[rank].finished for rank in eng._owned
             ),
-            "frontier": eng.clock_frontier(),
         }
 
     def describe(self) -> list[tuple]:
@@ -736,7 +725,6 @@ class ShardedEngine:
         # the single-process engine's tracer would have.
         coll_tracer = _tracer_from_spec(spec)
         global_colls: dict[tuple[int, int], _GlobalColl] = {}
-        self.windows_run = 0
 
         try:
             for host in hosts:

@@ -87,19 +87,21 @@ class TestWaveEquivalence:
         cfg = HeatConfig(
             px=2, py=2, nx=8, ny=8, iterations=6, synthetic=synthetic
         )
-        modes = {False: ExecutionMode.PER_MESSAGE, True: ExecutionMode.KERNELS}
         runs = {}
-        for use_waves in (False, True):
-            sim = HeatSimulation(with_mode(cfg, modes[use_waves]))
+        for mode in ExecutionMode:
+            sim = HeatSimulation(with_mode(cfg, mode))
             tracer = TraceRecorder(4, by_kind=True)
             engine = Engine(4, tracer=tracer)
             states = engine.run(sim.make_program())
-            runs[use_waves] = (states, engine.rank_times(), tracer)
-        ref, waved = runs[False], runs[True]
-        assert ref[1] == waved[1]
-        np.testing.assert_array_equal(
-            ref[2].bytes_matrix, waved[2].bytes_matrix
-        )
-        if not synthetic:
-            for ref_state, wave_state in zip(ref[0], waved[0]):
-                np.testing.assert_array_equal(ref_state["t"], wave_state["t"])
+            runs[mode] = (states, engine.rank_times(), tracer)
+        ref = runs.pop(ExecutionMode.PER_MESSAGE)
+        for waved in runs.values():
+            assert ref[1] == waved[1]
+            np.testing.assert_array_equal(
+                ref[2].bytes_matrix, waved[2].bytes_matrix
+            )
+            if not synthetic:
+                for ref_state, wave_state in zip(ref[0], waved[0]):
+                    np.testing.assert_array_equal(
+                        ref_state["t"], wave_state["t"]
+                    )

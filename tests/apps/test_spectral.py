@@ -107,18 +107,19 @@ class TestWaveEquivalence:
         from repro.apps.workload import ExecutionMode, with_mode
 
         cfg = small_cfg(nranks=8, n=16, iterations=3, synthetic=True)
-        modes = {False: ExecutionMode.PER_MESSAGE, True: ExecutionMode.KERNELS}
         runs = {}
-        for use_waves in (False, True):
-            sim = SpectralSimulation(with_mode(cfg, modes[use_waves]))
+        for mode in ExecutionMode:
+            sim = SpectralSimulation(with_mode(cfg, mode))
             tracer = TraceRecorder(8, by_kind=True)
             engine = Engine(8, tracer=tracer)
             engine.run(sim.make_program())
-            runs[use_waves] = (engine.rank_times(), tracer)
-        assert runs[False][0] == runs[True][0]
-        np.testing.assert_array_equal(
-            runs[False][1].bytes_matrix, runs[True][1].bytes_matrix
-        )
-        np.testing.assert_array_equal(
-            runs[False][1].count_matrix, runs[True][1].count_matrix
-        )
+            runs[mode] = (engine.rank_times(), tracer)
+        ref_clocks, ref_tracer = runs.pop(ExecutionMode.PER_MESSAGE)
+        for clocks, tracer in runs.values():
+            assert ref_clocks == clocks
+            np.testing.assert_array_equal(
+                ref_tracer.bytes_matrix, tracer.bytes_matrix
+            )
+            np.testing.assert_array_equal(
+                ref_tracer.count_matrix, tracer.count_matrix
+            )

@@ -10,6 +10,7 @@ import pytest
 
 from repro.clustering import (
     distributed_clustering,
+    hierarchical_clustering,
     naive_clustering,
     size_guided_clustering,
 )
@@ -75,13 +76,16 @@ class TestBatchedScalarEquivalence:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda p: naive_clustering(1024, 32),
-            lambda p: size_guided_clustering(1024, 8),
-            lambda p: distributed_clustering(p, 16),
+            lambda s: naive_clustering(1024, 32),
+            lambda s: size_guided_clustering(1024, 8),
+            lambda s: distributed_clustering(s.placement, 16),
+            lambda s: hierarchical_clustering(
+                s.node_comm_graph(), s.placement, cost=s.partition_cost
+            ),
         ],
     )
     def test_statistics_agree_at_fixed_seed(self, scenario, make):
-        clustering = make(scenario.placement)
+        clustering = make(scenario)
         batched = montecarlo_scores(
             scenario, clustering, n_samples=1500, rng=21
         )

@@ -4,12 +4,16 @@ import pytest
 
 from repro.failures import FailureEvent, FailureScenario, ScheduledFailure
 from repro.fuzz import (
+    ACTOR_NAMES,
+    CLASSIFICATIONS,
     CorruptionSpec,
     FuzzScenario,
     FuzzShape,
     PerturbationSpec,
+    compose_scenario,
     execute_scenario,
 )
+from repro.util.rng import resolve_rng
 
 SHAPE = FuzzShape()
 
@@ -32,6 +36,20 @@ class TestKernelSafety:
         assert deopts, "injection must record a kernel deopt reason"
         assert "failure-injection" in deopts
         assert result.engine_ok
+
+    @pytest.mark.parametrize("index, name", enumerate(ACTOR_NAMES))
+    def test_every_actor_executes_and_kills_deopt(self, index, name):
+        """One single-actor scenario per adversary, end to end: a known
+        class comes back, and node kills (short of total wipeout, which
+        may strike before any kernel-eligible loop) force the deopt."""
+        composed = compose_scenario(
+            SHAPE, (name,), resolve_rng(1000 + index), seed=index
+        )
+        result = execute_scenario(composed)
+        assert result.classification in CLASSIFICATIONS
+        killed = composed.schedule.killed_nodes()
+        if killed and len(killed) < SHAPE.nnodes:
+            assert "failure-injection" in dict(result.kernel_deopts)
 
     def test_clean_scenario_keeps_kernels_on(self):
         """No injected failures: the synthetic differential run is free to

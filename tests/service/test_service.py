@@ -228,6 +228,23 @@ class TestHttpService:
         finally:
             conn.close()
 
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, client, value):
+        import json
+        import socket
+
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(
+                f"POST /query HTTP/1.1\r\nContent-Length: {value}\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "Content-Length" in json.loads(body)["error"]
+        assert client.healthz() == {"ok": True}
+
     def test_bad_query_raises_service_error(self, client):
         q = ReliabilityQuery(
             metric="montecarlo",

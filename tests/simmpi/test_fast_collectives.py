@@ -11,6 +11,8 @@ per-kind), with and without failure injection.
 import numpy as np
 import pytest
 
+from repro.apps import ExecutionMode, fig5_workload
+from repro.apps.workload import with_mode
 from repro.simmpi import (
     DeadlockError,
     Engine,
@@ -207,6 +209,17 @@ class TestMixedPrograms:
         slow, fast = assert_equivalent(program, size)
         # The split's world allgather plus the clone's allreduce.
         assert fast["fast_runs"] == 2
+
+    def test_fig5_world(self):
+        """The §V world's per-message programs: halo p2p, wildcard
+        ready-gathers, encoder rings and the world allgather."""
+        workload = fig5_workload(
+            nodes=4, app_per_node=4, iterations=3, checkpoint_every=2
+        )
+        workload.sim_cfg = with_mode(
+            workload.sim_cfg, ExecutionMode.PER_MESSAGE
+        )
+        assert_equivalent(workload.build_programs(), workload.nranks)
 
 
 class TestFailureInjection:

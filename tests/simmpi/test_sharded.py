@@ -225,6 +225,22 @@ class TestFig5KernelCoverage:
         assert engine.kernel_deopts == {"external-destination": len(releases)}
         assert len({id(shard) for shard in releases}) == 2
 
+    def test_reused_engine_accumulates_every_counter(self):
+        engine = ShardedEngine(2)
+
+        def counters():
+            return (
+                engine.windows_run,
+                sum(engine.kernel_deopts.values()),
+                engine.fast_collectives_run,
+            )
+
+        engine.run(self._workload())
+        first = counters()
+        assert all(first)
+        engine.run(self._workload())
+        assert counters() == tuple(2 * count for count in first)
+
 
 class TestWorkerInvariance:
     """Identical observables whether shards run in-process or in workers."""

@@ -121,8 +121,8 @@ def test_required_docs_present():
     """The documentation surface itself must not rot away."""
     for doc in DOC_FILES:
         assert (ROOT / doc).exists(), f"{doc} missing"
-    # The README must point readers at the recorded benchmark artifacts.
+    # The README must point readers at the perf ledger.
     readme = (ROOT / "README.md").read_text()
-    assert "BENCH_montecarlo.json" in readme
-    assert "BENCH_simmpi.json" in readme
+    assert "BENCHMARK.json" in readme
+    assert "benchmarks/ledger/README.md" in readme
     assert "docs/architecture.md" in readme
