@@ -614,7 +614,13 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # The layers validate domain values eagerly (a sample count of 0,
+        # a cluster size that does not divide the machine); argparse only
+        # sees types, so report those like any other usage error.
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -13,8 +13,7 @@ angles:
   then force mergers up to the minimum size.
 
 Both return the same dense node-label arrays as ``partition_node_graph``
-and are compared head-to-head in ``benchmarks/bench_ablation_partitioner_
-alternatives.py``.
+and are compared head-to-head in ``tests/paper/test_extensions.py``.
 """
 
 from __future__ import annotations

@@ -35,6 +35,7 @@ from repro.models.encoding_time import EncodingTimeModel
 from repro.models.recovery_cost import expected_restart_fraction
 from repro.util.tables import AsciiTable
 from repro.util.units import format_probability
+from repro.util.validation import check_positive
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +233,10 @@ def experiment_fig5ab(
     from repro.simmpi.engine import Engine
     from repro.simmpi.tracing import TraceRecorder
 
+    check_positive("nodes", nodes)
+    check_positive("app_per_node", app_per_node)
+    check_positive("iterations", iterations, strict=False)
+    check_positive("checkpoint_every", checkpoint_every)
     n_app = nodes * app_per_node
     px = 32 if n_app == 1024 else int(np.sqrt(n_app))
     py = n_app // px

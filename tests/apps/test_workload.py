@@ -12,7 +12,6 @@ from repro.apps import (
 )
 from repro.apps.workload import (
     ExecutionMode,
-    FTIWorkload,
     HeatWorkload,
     ProgramsWorkload,
     SpectralWorkload,

@@ -1,4 +1,9 @@
-"""Experiment-driver and plotting tests (small-scale figure shapes)."""
+"""Experiment-driver and plotting tests (small-scale figure shapes).
+
+The paper's claims about these figures are asserted once, at the paper's
+scenario, in tests/paper/; what stays here exercises the drivers at a
+short trace and small inputs (sweep shapes, rendering, the 80-rank trace).
+"""
 
 import numpy as np
 import pytest
@@ -29,11 +34,6 @@ class TestFig3:
         assert study.logged_fraction == sorted(study.logged_fraction, reverse=True)
         assert study.encoding_s_per_gb == sorted(study.encoding_s_per_gb)
 
-    def test_sweet_spot_is_32(self, scenario):
-        """Fig. 3a: 'there is a sweet spot for clusters of 32 processes'."""
-        study = experiment_fig3(scenario, sizes=(2, 4, 8, 16, 32, 64, 128, 256))
-        assert study.sweet_spot_3a() == 32
-
     def test_paper_values_at_key_sizes(self, scenario):
         study = experiment_fig3(scenario, sizes=(4, 8, 32))
         # ~25 % at 4, ~13 % at 8, < 4 % at 32 (Fig. 3 narrative).
@@ -47,13 +47,6 @@ class TestFig3:
 
 
 class TestFig4:
-    def test_fig4a_non_distributed_orders_worse(self):
-        study = experiment_fig4a(sizes=(4, 8, 16))
-        for non, dist in zip(
-            study.reliability_non_distributed, study.reliability_distributed
-        ):
-            assert non > dist * 1e3
-
     def test_fig4b_distribution_explodes_logging(self, scenario):
         study = experiment_fig4bc(scenario, sizes=(16, 32))
         for non, dist in zip(
@@ -61,12 +54,6 @@ class TestFig4:
         ):
             assert dist > 0.9  # 'very high number of messages logged'
             assert non < 0.2
-
-    def test_fig4c_restart_3_vs_50_percent(self, scenario):
-        """Fig. 4c: at 32-proc clusters, 3 % non-distributed vs 50 %."""
-        study = experiment_fig4bc(scenario, sizes=(32,))
-        assert study.restart_non_distributed[0] == pytest.approx(0.031, abs=0.002)
-        assert study.restart_distributed[0] == pytest.approx(0.50)
 
     def test_render(self):
         out = experiment_fig4a(sizes=(4, 8)).render()

@@ -9,7 +9,7 @@ execution **bit for bit**, without rolling back any other cluster.
 import numpy as np
 import pytest
 
-from repro.apps import TsunamiConfig, TsunamiSimulation
+from repro.apps import ExecutionMode, TsunamiConfig, TsunamiSimulation
 from repro.clustering import Clustering
 from repro.failures import FailureEvent
 from repro.hydee import (
@@ -29,17 +29,18 @@ def hierarchical_16():
     return Clustering("hier-8-4", l1, l2)
 
 
-def make_run(iterations=12, checkpoint_every=5, allreduce_every=4):
+def make_run(iterations=12, checkpoint_every=5, allreduce_every=4, trace=False,
+             **cfg_kw):
     cfg = TsunamiConfig(
         px=4, py=4, nx=16, ny=16, iterations=iterations,
-        allreduce_every=allreduce_every,
+        allreduce_every=allreduce_every, **cfg_kw,
     )
     sim = TsunamiSimulation(cfg)
     machine = Machine(8, 2)
     clustering = hierarchical_16()
     run = run_with_protocol(
         sim, machine, clustering, iterations=iterations,
-        checkpoint_every=checkpoint_every,
+        checkpoint_every=checkpoint_every, trace=trace,
     )
     return sim, machine, clustering, run
 
@@ -223,3 +224,58 @@ class TestMultiClusterRecovery:
             FailureEvent(kind="node", nodes=(0,)), failure_iteration=7
         )
         assert result.restart_fraction == pytest.approx(8 / 16)
+
+
+class TestWaveRecovery:
+    def test_wave_run_recovers_identically(self):
+        """A node failure after a wave-native run replays (per-message,
+        through the ReplayCommunicator fallback) to the same states a
+        per-message original run recovers to."""
+        recovered = {}
+        for mode in (ExecutionMode.PER_MESSAGE, ExecutionMode.KERNELS):
+            sim, machine, clustering, run = make_run(
+                iterations=16, checkpoint_every=6, allreduce_every=5, mode=mode
+            )
+            manager = RecoveryManager(sim, machine, run)
+            result = manager.recover(
+                FailureEvent(kind="node", nodes=(1,)), failure_iteration=16
+            )
+            manager.verify_send_determinism(result)
+            recovered[mode] = result
+        ref = recovered[ExecutionMode.PER_MESSAGE]
+        waved = recovered[ExecutionMode.KERNELS]
+        assert sorted(ref.restarted_ranks) == sorted(waved.restarted_ranks)
+        for rank in ref.restarted_ranks:
+            np.testing.assert_array_equal(
+                ref.recovered_states[rank]["eta"],
+                waved.recovered_states[rank]["eta"],
+            )
+
+
+class TestEndToEndProperties:
+    """What the protocol actually does equals what the analytic models of
+    the recovery-cost and logging dimensions predict."""
+
+    def test_recovery_restart_fraction_matches_model(self):
+        from repro.models import restart_set_for_nodes
+
+        sim, machine, clustering, run = make_run(
+            iterations=16, checkpoint_every=6, allreduce_every=5
+        )
+        manager = RecoveryManager(sim, machine, run)
+        result = manager.recover(
+            FailureEvent(kind="node", nodes=(3,)), failure_iteration=16
+        )
+        predicted = restart_set_for_nodes(clustering, machine.placement, [3])
+        assert sorted(result.restarted_ranks) == sorted(predicted.tolist())
+
+    def test_logged_fraction_matches_graph_model(self):
+        from repro.commgraph import graph_from_trace
+
+        sim, machine, clustering, run = make_run(
+            iterations=16, checkpoint_every=6, allreduce_every=5, trace=True
+        )
+        graph = graph_from_trace(run.engine.tracer)
+        assert run.logged_fraction_observed == pytest.approx(
+            graph.logged_fraction(clustering.l1_labels)
+        )

@@ -1,0 +1,374 @@
+"""Extensions beyond the paper's exhibits: ablations, sensitivity, studies.
+
+None of these is a table or figure of the paper; each class takes one
+design choice or premise the paper states in prose and checks that the
+reproduction's conclusion does not hinge on it. Behaviours already pinned
+by a unit module (refinement never hurting, the Daly/Young bracket, the
+PFS-vs-SSD gap, sampled-vs-analytic agreement) are asserted there, not
+here.
+"""
+
+import numpy as np
+import pytest
+
+from repro.apps import TsunamiConfig
+from repro.clustering import (
+    PartitionCost,
+    hierarchical_clustering,
+    modularity_partition,
+    naive_clustering,
+    partition_node_graph,
+    size_guided_clustering,
+    spectral_partition,
+    validate_clustering,
+)
+from repro.commgraph import (
+    modularity,
+    node_graph,
+    paper_tsunami_matrix,
+    random_sparse_matrix,
+    synthetic_stencil_matrix,
+)
+from repro.core import ClusteringEvaluator, Scenario
+from repro.erasure import ReedSolomonCode, XorCode
+from repro.failures import (
+    PAPER_TAXONOMY,
+    CatastrophicModel,
+    FailureTaxonomy,
+    rs_half_tolerance,
+    xor_tolerance,
+)
+from repro.machine import BlockPlacement, Machine
+from repro.models import (
+    PAPER_BASELINE,
+    CampaignConfig,
+    CampaignSimulator,
+    EncodingTimeModel,
+    WasteModel,
+)
+from repro.util.units import GiB
+
+
+@pytest.fixture(scope="module")
+def strategies(evaluator):
+    """The four Table II clusterings, hierarchical last."""
+    return evaluator.paper_strategies()
+
+
+@pytest.fixture(scope="module")
+def hierarchical(strategies):
+    return strategies[-1]
+
+
+class TestDalyWaste:
+    """Table II's encoding gap, put through the Young/Daly waste model
+    (§II-A's MTBF squeeze), becomes a whole-machine efficiency gap that
+    widens with node count."""
+
+    NODE_COUNTS = (1_000, 10_000, 100_000)
+    NODE_MTBF_S = 5 * 365 * 24 * 3600.0  # five node-years
+
+    def waste_model(self, l2_size: int, nodes: int) -> WasteModel:
+        ssd_write_s = GiB / 360e6  # 1 GiB per node at Table I SSD speed
+        cost = ssd_write_s + EncodingTimeModel().seconds_per_gb(l2_size)
+        return WasteModel(cost, 2 * cost, self.NODE_MTBF_S / nodes)
+
+    def test_waste_grows_with_scale(self):
+        waste = [self.waste_model(4, n).optimal_waste() for n in self.NODE_COUNTS]
+        assert waste == sorted(waste)
+
+    def test_hierarchical_buys_efficiency_at_100k_nodes(self):
+        """At extreme scale the 8x encoding gap (Table II) becomes a
+        multi-point whole-machine efficiency gap."""
+        slow = self.waste_model(32, 100_000)
+        fast = self.waste_model(4, 100_000)
+        assert slow.optimal_waste() - fast.optimal_waste() > 0.05
+
+
+class TestErasureCodeChoice:
+    """§II-B1's XOR vs. Reed-Solomon trade-off on the hierarchical
+    clustering: cheaper codes tolerate fewer simultaneous node losses."""
+
+    #: name -> node-loss tolerance for L2 clusters of size s.
+    TOLERANCES = {
+        "xor": xor_tolerance,
+        # Co-located data+parity: a node loss costs 2 shards.
+        "rs-half (m=k/2)": lambda s: s // 4,
+        "rs-fti (m=k)": rs_half_tolerance,
+    }
+
+    def test_xor_cheapest_least_reliable(self, scenario, hierarchical):
+        xor = CatastrophicModel(scenario.placement, tolerance=xor_tolerance)
+        fti = CatastrophicModel(scenario.placement, tolerance=rs_half_tolerance)
+        assert xor.probability(hierarchical) > fti.probability(hierarchical)
+        xor_ops = XorCode(k=4).encoding_byte_ops(100)
+        assert xor_ops < ReedSolomonCode(k=4, m=4).encoding_byte_ops(100)
+
+    def test_all_codes_recover_single_node_loss(self, scenario, hierarchical):
+        """Even XOR keeps the hierarchical clustering safe against the
+        dominant failure mode (one node)."""
+        for tolerance in self.TOLERANCES.values():
+            model = CatastrophicModel(scenario.placement, tolerance=tolerance)
+            assert model.breaking_run_fraction(hierarchical, 1) == 0.0
+
+    def test_only_fti_rs_survives_double_node_loss(self, scenario, hierarchical):
+        frac = {}
+        for name, tolerance in self.TOLERANCES.items():
+            model = CatastrophicModel(scenario.placement, tolerance=tolerance)
+            frac[name] = model.breaking_run_fraction(hierarchical, 2)
+        assert frac["xor"] > 0.0
+        assert frac["rs-fti (m=k)"] == 0.0
+
+
+class TestL2StripeWidth:
+    """§IV-B picks L2 stripes of 4: the narrowest width that keeps
+    P[catastrophic] far below the baseline while encoding stays cheap."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, scenario, evaluator):
+        out = []
+        for width in (2, 4, 8, 16):
+            clustering = hierarchical_clustering(
+                scenario.node_comm_graph(),
+                scenario.placement,
+                cost=scenario.partition_cost,
+                min_nodes_per_l1=max(4, width),
+                max_nodes_per_l1=max(4, width),
+                l2_group_nodes=width,
+            )
+            out.append((width, clustering, evaluator.evaluate(clustering)))
+        return out
+
+    def test_structures_stay_valid(self, rows, scenario):
+        for width, clustering, _ in rows:
+            report = validate_clustering(
+                clustering,
+                scenario.placement,
+                require_node_aligned_l1=True,
+                require_l2_distinct_nodes=True,
+                homogeneous_l2=True,
+            )
+            assert report.ok, (width, report.violations)
+            assert (clustering.l2_sizes() == width).all()
+
+    def test_width_2_is_cheap_but_fragile(self, rows):
+        by_width = {w: s for w, _, s in rows}
+        assert by_width[2].encoding_s_per_gb < by_width[4].encoding_s_per_gb
+        assert by_width[2].prob_catastrophic > by_width[4].prob_catastrophic
+
+    def test_width_16_pays_too_much_encoding(self, rows):
+        by_width = {w: s for w, _, s in rows}
+        # Width 16 exceeds the 60 s/GB encoding budget (102 s/GB).
+        assert not PAPER_BASELINE.check(by_width[16])["encoding"]
+
+    def test_wider_l1_raises_logging_but_slowly(self, rows):
+        """Wider stripes force wider L1 clusters, which can only *reduce*
+        the logged fraction (bigger containment units)."""
+        logged = [s.logging_fraction for _, _, s in rows]
+        assert logged == sorted(logged, reverse=True)
+
+
+class TestPartitionerWeights:
+    """The [24]-style L1 partitioner's logging/restart weight ratio sets
+    the cluster size, and its refinement pass is not dead code."""
+
+    @pytest.fixture(scope="class")
+    def paper_node_graph(self, scenario):
+        return scenario.node_comm_graph()
+
+    def test_logging_only_merges_everything(self, paper_node_graph):
+        labels = partition_node_graph(
+            paper_node_graph, min_cluster_nodes=1, cost=PartitionCost(1.0, 0.0)
+        )
+        assert len(np.unique(labels)) == 1
+
+    def test_restart_only_stays_at_minimum_size(self, paper_node_graph):
+        labels = partition_node_graph(
+            paper_node_graph, min_cluster_nodes=4, cost=PartitionCost(0.0, 1.0)
+        )
+        assert (np.bincount(labels) == 4).all()
+
+    def test_paper_point_is_stable_across_trace_lengths(self):
+        """The (1, 8) calibration does not depend on trace length (the
+        objective is scale-free in the traffic volume)."""
+        placement = BlockPlacement(64, 16)
+        for iterations in (1, 10, 100):
+            ng = node_graph(paper_tsunami_matrix(iterations=iterations), placement)
+            labels = partition_node_graph(
+                ng, min_cluster_nodes=4, cost=PartitionCost(1.0, 8.0)
+            )
+            np.testing.assert_array_equal(labels, np.arange(64) // 4)
+
+    def test_refinement_helps_some_graph(self):
+        """On at least one random graph the refinement strictly improves
+        the objective."""
+        cost = PartitionCost()
+        improved = 0
+        for seed in range(20):
+            g = random_sparse_matrix(30, degree=4, rng=seed)
+            rough = partition_node_graph(g, min_cluster_nodes=2, refine=False)
+            refined = partition_node_graph(g, min_cluster_nodes=2, refine=True)
+            if cost.evaluate(g, refined) < cost.evaluate(g, rough) - 1e-12:
+                improved += 1
+        assert improved > 0
+
+
+class TestPartitionerMethods:
+    """On irregular graphs, where greedy [24]-style, spectral and
+    modularity partitioning can disagree, the greedy objective the paper's
+    clustering relies on holds its own."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_greedy_cost_competitive_with_spectral(self, seed):
+        g = random_sparse_matrix(32, degree=4, rng=seed)
+        cost = PartitionCost(1.0, 8.0)
+        greedy = partition_node_graph(
+            g, min_cluster_nodes=4, max_cluster_nodes=8, cost=cost
+        )
+        spectral = spectral_partition(g, min_cluster_nodes=4, max_cluster_nodes=8)
+        # The greedy method optimizes this objective directly; it must not
+        # lose to the geometry-only method by more than a whisker.
+        assert cost.evaluate(g, greedy) <= cost.evaluate(g, spectral) + 0.02
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_modularity_method_maximizes_q(self, seed):
+        g = random_sparse_matrix(24, degree=4, rng=seed)
+        q_mod = modularity(g, modularity_partition(g))
+        q_greedy = modularity(g, partition_node_graph(g, min_cluster_nodes=1))
+        assert q_mod >= q_greedy - 0.05
+
+    def test_all_methods_emit_valid_partitions(self):
+        g = random_sparse_matrix(20, degree=3, rng=9)
+        for method in (spectral_partition, modularity_partition):
+            sizes = np.bincount(method(g, min_cluster_nodes=2, max_cluster_nodes=5))
+            assert sizes.sum() == 20, method.__name__
+            assert (sizes[sizes > 0] >= 2).all(), method.__name__
+            assert sizes.max() <= 5, method.__name__
+
+
+class TestTaxonomySensitivity:
+    """Table II's reliability column does not hinge on the calibrated
+    failure taxonomy: p_soft only rescales it, and hierarchical stays far
+    safer than naive even with cascades 100x more likely."""
+
+    def test_soft_error_share_only_scales_everything(self, scenario):
+        """p_soft rescales all node-failure-driven probabilities equally;
+        the size-guided entry is pinned at 1 - p_soft."""
+        sg = size_guided_clustering(1024, 8)
+        for p_soft in (0.01, 0.05, 0.2):
+            taxonomy = FailureTaxonomy(p_soft=p_soft)
+            model = CatastrophicModel(scenario.placement, taxonomy=taxonomy)
+            assert model.probability(sg) == pytest.approx(1 - p_soft, abs=1e-3)
+
+    def test_extreme_correlation_still_orders_correctly(self, scenario, hierarchical):
+        """Even with cascades 100x more likely, hierarchical stays orders
+        of magnitude safer than naive."""
+        taxonomy = FailureTaxonomy(p_multi=2e-2, escalation=0.1)
+        model = CatastrophicModel(scenario.placement, taxonomy=taxonomy)
+        p_hier = model.probability(hierarchical)
+        p_naive = model.probability(naive_clustering(1024, 32))
+        assert p_hier < p_naive / 5
+
+
+class TestMonthLongCampaign:
+    """The four dimensions composed (§VII's 'complete CR solution'):
+    month-long MTBF-driven failure campaigns waste what they waste for the
+    reasons the paper gives — encoding cost every interval for naive,
+    catastrophic rollbacks for size-guided."""
+
+    @pytest.fixture(scope="class")
+    def results(self, scenario, strategies):
+        config = CampaignConfig(
+            horizon_s=30 * 24 * 3600.0,
+            checkpoint_interval_s=1800.0,
+            node_mtbf_s=0.25 * 365 * 24 * 3600.0,  # a stressed machine
+        )
+        simulator = CampaignSimulator(scenario.machine, config)
+        return {c.name: [simulator.run(c, rng=7 * k) for k in range(3)] for c in strategies}
+
+    def test_size_guided_catastrophes_dominate_its_waste(self, results):
+        runs = results["size-guided-8"]
+        assert sum(r.n_catastrophic for r in runs) > 0
+        penalized = [r for r in runs if r.n_catastrophic]
+        for r in penalized:
+            assert r.catastrophic_penalty_s > r.rework_s
+
+    def test_naive_pays_in_checkpoint_overhead(self, results):
+        naive = results["naive-32"][0]
+        hier = results["hierarchical-64-4"][0]
+        assert naive.checkpoint_overhead_s > 4 * hier.checkpoint_overhead_s
+
+    def test_every_campaign_saw_failures(self, results):
+        for runs in results.values():
+            assert sum(r.n_failures for r in runs) > 0
+
+
+class TestScaling:
+    """§V's 'launching from 64 to 1024 processes': with a fixed L2 width
+    the hierarchical clustering stays valid, its logging does not grow and
+    the baseline verdict arrives — and stays — with scale."""
+
+    #: (nprocs, process-grid px, nodes); 16 procs/node throughout, like §V.
+    SCALES = [(64, 8, 4), (256, 16, 16), (1024, 32, 64)]
+
+    @pytest.fixture(scope="class")
+    def scores(self):
+        out = {}
+        for nprocs, px, nodes in self.SCALES:
+            py = nprocs // px
+            cfg = TsunamiConfig(
+                px=px, py=py, nx=32 * px, ny=768 * py, iterations=100, synthetic=True
+            )
+            scenario = Scenario(
+                name=f"tsunami-{nprocs}",
+                machine=Machine(nodes, 16),
+                graph=synthetic_stencil_matrix(cfg.grid, iterations=100, nfields=3),
+                taxonomy=PAPER_TAXONOMY,
+                partition_cost=PartitionCost(1.0, 8.0),
+            )
+            clustering = hierarchical_clustering(
+                scenario.node_comm_graph(),
+                scenario.placement,
+                cost=scenario.partition_cost,
+            )
+            out[nprocs] = (
+                scenario,
+                clustering,
+                ClusteringEvaluator(scenario).evaluate(clustering),
+            )
+        return out
+
+    def test_l2_width_constant_across_scales(self, scores):
+        for nprocs, (_, clustering, _) in scores.items():
+            assert (clustering.l2_sizes() == 4).all(), nprocs
+
+    def test_l1_stays_node_aligned(self, scores):
+        for nprocs, (scenario, clustering, _) in scores.items():
+            report = validate_clustering(
+                clustering,
+                scenario.placement,
+                require_node_aligned_l1=True,
+                require_l2_distinct_nodes=True,
+                min_nodes_per_l1=4,
+            )
+            assert report.ok, (nprocs, report.violations)
+
+    def test_logging_does_not_grow_with_scale(self, scores):
+        fractions = [s.logging_fraction for _, _, s in scores.values()]
+        assert max(fractions) <= fractions[0] + 0.02
+
+    def test_reliability_stays_within_baseline_order(self, scores):
+        for nprocs, (_, _, score) in scores.items():
+            assert score.prob_catastrophic < 1e-3, nprocs
+
+    def test_baseline_compliance_arrives_with_scale(self, scores):
+        """Recovery cost crosses into the 20 % baseline as the machine
+        grows around the fixed 4-node L1 clusters — the 'for large scale
+        HPC systems' qualifier of §III, made quantitative."""
+        verdicts = [
+            PAPER_BASELINE.satisfied(score) for _, (_, _, score) in sorted(scores.items())
+        ]
+        assert verdicts[-1] is True  # 1024 procs: fully compliant
+        # Once compliant, staying compliant (monotone in scale).
+        first_pass = verdicts.index(True)
+        assert all(verdicts[first_pass:])

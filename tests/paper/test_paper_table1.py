@@ -6,24 +6,10 @@ facts (SSD write speed, dual-rail QDR IB, measured Lustre throughput…)
 that the encoding/logging/recovery models consume.
 """
 
-
-from repro.core import experiment_table1
 from repro.machine import TSUBAME2, tsubame2_fti_machine, tsubame2_machine
 
 
-def bench_table1(benchmark):
-    """Time machine construction + Table I rendering."""
-
-    def build():
-        machine = tsubame2_machine()
-        return machine, experiment_table1()
-
-    machine, text = benchmark(build)
-    print("\n" + text)
-    assert "1408" in text and "Lustre" in text
-
-
-class TestTable1Facts:
+class TestTable1:
     def test_node_and_core_counts(self):
         assert TSUBAME2.total_nodes == 1408
         assert TSUBAME2.cores_per_node == 12

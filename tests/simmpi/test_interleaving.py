@@ -11,7 +11,6 @@ with ``non-canonical-schedule``, and the wildcard arbitration that
 interleaving perturbs keeps matching by posting-sequence stamp.
 """
 
-import numpy as np
 import pytest
 
 from repro.simmpi import (

@@ -15,6 +15,27 @@ class TestParser:
             build_parser().parse_args(["figZ"])
 
 
+class TestDomainErrors:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["montecarlo", "--samples", "0"], "n_samples"),
+            (["fig3", "--sizes", "0"], "cluster_size"),
+            (["fig4a", "--sizes", "5"], "cluster_size 5"),
+            (["campaign", "--days", "0"], "horizon_s"),
+            (["fig5", "--nodes", "0"], "nodes"),
+        ],
+        ids=["montecarlo", "fig3", "fig4a", "campaign", "fig5"],
+    )
+    def test_bad_value_is_a_usage_error(self, capsys, argv, field):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro: error: {field}" in err
+        assert "Traceback" not in err
+
+
 class TestCommands:
     def test_table1(self, capsys):
         assert main(["table1"]) == 0

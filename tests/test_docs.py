@@ -10,9 +10,13 @@ code spans and fenced code blocks and asserts it still resolves:
   ``*.json``) must exist in the repository;
 * dotted ``repro...`` module references must be importable;
 * ``python <script>`` / ``python -m <module>`` lines in fenced blocks
-  must name real scripts/modules.
+  must name real scripts/modules;
+* the paper-claims contract table of ``docs/architecture.md`` and the
+  ``tests/paper/test_paper_*.py`` exhibit modules must index each other.
 """
 
+import argparse
+import ast
 import importlib.util
 import re
 import sys
@@ -115,6 +119,47 @@ def test_documented_commands_resolve(doc):
             elif target.endswith(".py") and not (ROOT / target).exists():
                 broken.append(f"python {target}")
     assert not broken, f"{doc} documents commands that do not resolve: {broken}"
+
+
+_CONTRACT_EXHIBITS = {"Table I", "Table II", "Headline"} | {
+    f"Fig. {panel}" for panel in ("3a", "3b", "4a", "4b", "4c", "5a", "5b", "5c")
+}
+# | exhibit | claim | `tests/paper/<module>.py::<Name>` | `<subcommand>` |
+_CONTRACT_ROW_RE = re.compile(
+    r"^\| *([^|]+?) *\|.*\| *`(tests/paper/\w+\.py)::(\w+)` *\| *`([\w-]+)` *\|$",
+    flags=re.MULTILINE,
+)
+
+
+def test_paper_contract_table_resolves():
+    """Every row names a defined test and a real subcommand, and every
+    exhibit module is indexed (resolved via ``ast``, nothing collected)."""
+    src = str(ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    from repro.cli import build_parser
+
+    subcommands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    rows = _CONTRACT_ROW_RE.findall(_doc("docs/architecture.md"))
+    assert {exhibit for exhibit, *_ in rows} == _CONTRACT_EXHIBITS
+    for exhibit, module, name, subcommand in rows:
+        path = ROOT / module
+        assert path.exists(), f"{exhibit}: {module} is missing"
+        defined = {
+            node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        }
+        assert name in defined, f"{exhibit}: {module} defines no {name}"
+        assert subcommand in subcommands, f"{exhibit}: no `repro {subcommand}`"
+    indexed = {module for _, module, _, _ in rows}
+    for path in sorted((ROOT / "tests/paper").glob("test_paper_*.py")):
+        module = path.relative_to(ROOT).as_posix()
+        assert module in indexed, f"{module} has no row in the contract table"
 
 
 def test_required_docs_present():
