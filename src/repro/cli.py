@@ -196,11 +196,13 @@ def cmd_serve(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    import resource
     import time
 
     import numpy as np
 
     from repro.apps.workload import fig5_workload
+    from repro.machine.tsubame2 import tsubame2_fti_machine, tsubame2_machine
     from repro.simmpi import (
         Engine,
         ShardedEngine,
@@ -257,10 +259,18 @@ def cmd_sim(args) -> int:
         )
 
     nranks = workload.nranks
+    # Price the run on the TSUBAME2 links the perf ledger's sim-* workloads
+    # use for the same shapes: the FTI node blocks for fig5, 16 ranks to a
+    # node for the grid and spectral worlds.
+    if args.workload == "fig5":
+        machine = tsubame2_fti_machine(args.nodes, args.app_per_node)
+    else:
+        machine = tsubame2_machine(-(-nranks // 16), 16)
+    network = machine.network
     recorder_cls = SparseTraceRecorder if args.sparse else TraceRecorder
     tracer = None if args.no_trace else recorder_cls(nranks, by_kind=True)
     engine = ShardedEngine(
-        args.shards, workers=args.workers, tracer=tracer
+        args.shards, workers=args.workers, network=network, tracer=tracer
     )
     t0 = time.perf_counter()
     engine.run(workload)
@@ -279,7 +289,7 @@ def cmd_sim(args) -> int:
     print(
         f"elapsed: {elapsed:.2f} s wall "
         f"({rank_iters / elapsed:,.0f} rank-iterations/s), "
-        f"virtual time {max(clocks):.6f} s"
+        f"virtual time {max(clocks):.6g} s"
     )
     deopts = ", ".join(
         f"{reason} x{count}"
@@ -295,12 +305,22 @@ def cmd_sim(args) -> int:
             f"traced: {int(tracer.total_messages):,} messages, "
             f"{int(tracer.total_bytes):,} bytes"
         )
+    # ru_maxrss is KiB on Linux; RUSAGE_CHILDREN reports the largest
+    # worker process joined so far.
+    memory = (
+        f"memory: peak RSS "
+        f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MiB"
+    )
+    if hosts:
+        child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        memory += f", largest worker {child:.0f} MiB"
+    print(memory)
 
     if args.verify:
         ref_tracer = None if args.no_trace else recorder_cls(
             nranks, by_kind=True
         )
-        ref_engine = Engine(nranks, tracer=ref_tracer)
+        ref_engine = Engine(nranks, network=network, tracer=ref_tracer)
         ref_engine.run(workload.build_programs())
         ok = clocks == ref_engine.rank_times()
         if tracer is not None:

@@ -316,6 +316,13 @@ class RankContext:
         :meth:`advance`).
     comm:
         The world communicator (set by the engine before the program runs).
+    engine:
+        The :class:`Engine` executing this rank while its run is live, and
+        ``None`` once that run has finished — normally, by deadlock or by a
+        raising program. Clearing it is what lets a dropped engine (and its
+        tracer and message pool) be freed by reference counting: a context
+        outlives its run inside the engine's own rank table, so a live
+        back-edge would make every run a reference cycle.
     """
 
     __slots__ = ("rank", "nranks", "clock", "comm", "engine", "user")
@@ -719,39 +726,46 @@ class Engine:
         Raises :class:`DeadlockError` if no rank can make progress while
         some are unfinished.
 
-        The run is three seams — :meth:`_setup_run` (fresh matching/split
+        The run is four seams — :meth:`_setup_run` (fresh matching/split
         state and rank instantiation), :meth:`_drain` (the batched
-        run-until-blocked scheduler loop) and :meth:`_finalize_run`
-        (deadlock attribution and result collection) — composed here
-        byte-identically to the historical monolithic loop. The sharded
-        engine re-enters :meth:`_drain` once per conservative window
-        between boundary-message exchanges.
+        run-until-blocked scheduler loop), :meth:`_finalize_run`
+        (deadlock attribution and result collection) and
+        :meth:`_release_run` (the teardown every exit takes) — composed
+        here byte-identically to the historical monolithic loop. The
+        sharded engine re-enters :meth:`_drain` once per conservative
+        window between boundary-message exchanges.
         """
-        self._setup_run(program, comm_factory=comm_factory)
-        batch = self._initial_batch()
-        # Pause generational GC while the scheduler drains: the engine's
-        # steady state barely allocates (messages live in pool slots, send
-        # handles are shared), but the collector would still rescan the
-        # long-lived generator/deque graph every few hundred allocations.
-        # Restored (and never force-enabled) on every exit path.
-        resume_gc = gc.isenabled()
-        if resume_gc:
-            gc.disable()
         try:
-            self._drain(batch)
-        finally:
+            self._setup_run(program, comm_factory=comm_factory)
+            batch = self._initial_batch()
+            # Pause generational GC while the scheduler drains: the
+            # engine's steady state barely allocates (messages live in pool
+            # slots, send handles are shared), but the collector would
+            # still rescan the long-lived generator/deque graph every few
+            # hundred allocations. Restored (and never force-enabled) on
+            # every exit path. The pause strands nothing: the teardown
+            # below leaves no cycle through the engine, so a dropped
+            # engine is freed by reference counting, not by a collection.
+            resume_gc = gc.isenabled()
             if resume_gc:
-                gc.enable()
-            # A program exception must not swallow the wave that was
-            # draining: flushing keeps partial-run traces exact.
-            if self._wave_slots or self._deferred_free:
-                self._price_pending_sends()
-            if self._sched_exploring:
-                # Publish the applied permutations on every exit path —
-                # a deadlocked or crashed exploration must still yield a
-                # replay-exact trace for its repro file.
-                self.schedule_trace = ScheduleTrace(tuple(self._sched_recorder))
-        return self._finalize_run()
+                gc.disable()
+            try:
+                self._drain(batch)
+            finally:
+                if resume_gc:
+                    gc.enable()
+                # A program exception must not swallow the wave that was
+                # draining: flushing keeps partial-run traces exact.
+                if self._wave_slots or self._deferred_free:
+                    self._price_pending_sends()
+                if self._sched_exploring:
+                    # Publish the applied permutations on every exit path —
+                    # a deadlocked or crashed exploration must still yield
+                    # a replay-exact trace for its repro file.
+                    self.schedule_trace = ScheduleTrace(tuple(self._sched_recorder))
+            return self._finalize_run()
+        finally:
+            self._release_run()
 
     def _ranks_to_run(self) -> Sequence[int]:
         """The ranks this engine instantiates and schedules.
@@ -921,6 +935,23 @@ class Engine:
             blocked = {s.rank: self._describe_blocked(s) for s in unfinished}
             raise DeadlockError(blocked)
         return [s.result for s in self._states if s is not None]
+
+    def _release_run(self) -> None:
+        """Teardown of a finished run, on every exit: sever the edges the
+        run's graph holds back to this engine.
+
+        The rank table outlives the run so that results, clocks and
+        counters stay readable; each rank's :class:`RankContext` is the one
+        object in it that points back at the engine. With ``ctx.engine``
+        cleared no reference cycle runs through the engine, so dropping it
+        frees the engine, its tracer and its message pool by reference
+        counting (and finalizes a deadlocked or crashed run's suspended
+        generators) instead of leaving them to the next full collection.
+        Shared with the sharded engine's shards; idempotent.
+        """
+        for state in self._states:
+            if state is not None:
+                state.ctx.engine = None
 
     def _describe_blocked(self, state: _RankState) -> str:
         """Deadlock attribution for one blocked rank.

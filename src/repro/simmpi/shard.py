@@ -405,7 +405,7 @@ class _ShardRunner:
 
     def finish(self) -> dict:
         eng = self.engine
-        return {
+        report = {
             "results": {
                 r: eng._states[r].result for r in eng._owned
             },
@@ -418,6 +418,8 @@ class _ShardRunner:
                 "kernel_deopts": dict(eng.kernel_deopts),
             },
         }
+        eng._release_run()
+        return report
 
 
 # --------------------------------------------------------------------------
@@ -467,7 +469,10 @@ class _InlineHost:
         return {s: self.runners[s].finish() for s in sidxs}
 
     def close(self) -> None:
-        pass
+        # A deadlocked or failed run never reaches finish(); its shards
+        # still hold full-world tracers and must not survive the call.
+        for runner in self.runners.values():
+            runner.engine._release_run()
 
 
 def _worker_main(conn) -> None:

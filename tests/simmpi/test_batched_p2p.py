@@ -19,7 +19,7 @@ from repro.apps.stencil import (
 )
 from repro.simmpi import Engine, EngineConfig, TraceRecorder
 
-from test_fast_collectives import two_level_network  # same-directory module
+from networks import two_level_network  # same-directory module
 
 
 def run_both_pricings(program, size, *, fast_collectives=True):

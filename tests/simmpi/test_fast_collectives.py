@@ -17,22 +17,13 @@ from repro.simmpi import (
     DeadlockError,
     Engine,
     EngineConfig,
-    LinkParameters,
-    NetworkModel,
     TraceRecorder,
 )
 from repro.simmpi.collectives import max_op, sum_op
 
+from networks import two_level_network  # same-directory module
+
 SIZES = [2, 3, 4, 5, 8, 13]
-
-
-def two_level_network() -> NetworkModel:
-    """Four ranks per node, distinct intra/inter links — clock-sensitive."""
-    return NetworkModel(
-        intra_node=LinkParameters(1e-7, 2e9),
-        inter_node=LinkParameters(7e-6, 1e8),
-        locator=lambda rank: rank // 4,
-    )
 
 
 def _structurally_equal(a, b) -> bool:

@@ -16,10 +16,8 @@ import pytest
 from repro.simmpi import DeadlockError, Engine
 from repro.simmpi.collectives import max_op, sum_op
 
-from test_fast_collectives import (  # same-directory module (pytest path mode)
-    assert_equivalent,
-    two_level_network,
-)
+from networks import two_level_network  # same-directory module (pytest path mode)
+from test_fast_collectives import assert_equivalent
 
 SIZES = [4, 6, 8, 12, 16]
 

@@ -21,12 +21,12 @@ from repro.simmpi import (
     ScheduleTrace,
 )
 
-from test_kernel_loops import (  # same-directory module
+from networks import two_level_network  # same-directory module
+from test_kernel_loops import (
     assert_records_equal,
     interpreted_ring_program,
     kernel_ring_program,
     run_engine,
-    two_level_network,
 )
 
 

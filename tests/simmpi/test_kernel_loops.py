@@ -21,7 +21,7 @@ from repro.simmpi import ANY_SOURCE, Engine, EngineConfig, KernelLoop, TraceReco
 from repro.simmpi.collectives import max_op, sum_op
 from repro.simmpi.errors import MatchingError
 
-from test_fast_collectives import two_level_network  # same-directory module
+from networks import two_level_network  # same-directory module
 
 RING_TAG = 7
 RING_BYTES = 1 << 14

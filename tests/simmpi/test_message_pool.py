@@ -23,7 +23,7 @@ from repro.simmpi import (
 from repro.simmpi.errors import MatchingError
 from repro.simmpi.request import COMPLETED_SEND, UNPRICED
 
-from test_fast_collectives import two_level_network  # same-directory module
+from networks import two_level_network  # same-directory module
 
 
 class TestSlotLifecycle:

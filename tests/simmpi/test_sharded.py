@@ -30,18 +30,24 @@ from repro.simmpi import (
     partition_workload,
 )
 
+from networks import two_level_network  # same-directory module
 
-def _reference(workload, *, network=None):
+
+def _reference(workload):
+    """The single-process run every sharded run must equal, priced on the
+    placement-aware two-level network so clock equality is not vacuous."""
     tracer = TraceRecorder(workload.nranks, by_kind=True)
-    engine = Engine(workload.nranks, network=network, tracer=tracer)
+    engine = Engine(workload.nranks, network=two_level_network(), tracer=tracer)
     states = engine.run(workload.build_programs())
-    return states, engine.rank_times(), tracer
+    clocks = engine.rank_times()
+    assert max(clocks) > 0.0
+    return states, clocks, tracer
 
 
-def _sharded(workload, shards, workers=0, *, network=None):
+def _sharded(workload, shards, workers=0):
     tracer = TraceRecorder(workload.nranks, by_kind=True)
     engine = ShardedEngine(
-        shards, workers=workers, network=network, tracer=tracer
+        shards, workers=workers, network=two_level_network(), tracer=tracer
     )
     states = engine.run(workload)
     return states, engine.rank_times(), tracer, engine
@@ -188,7 +194,7 @@ class TestFig5KernelCoverage:
     def test_every_segment_executes_as_a_kernel(self):
         workload = self._workload()
         tracer = TraceRecorder(workload.nranks, by_kind=True)
-        engine = Engine(workload.nranks, tracer=tracer)
+        engine = Engine(workload.nranks, network=two_level_network(), tracer=tracer)
         states = engine.run(workload.build_programs())
         clocks = engine.rank_times()
         assert engine.kernel_runs == 4  # one per checkpoint segment

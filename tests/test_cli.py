@@ -1,8 +1,19 @@
 """CLI tests: every subcommand produces its exhibit."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _assert_priced_with_memory(out, *, workers=False):
+    """`repro sim` ran on a priced network and reported its memory."""
+    virtual = float(re.search(r"virtual time (\S+) s", out).group(1))
+    assert virtual > 0.0
+    memory = re.search(r"^memory: peak RSS (\d+) MiB(, largest worker \d+ MiB)?$", out, re.M)
+    assert memory is not None and int(memory.group(1)) > 0
+    assert bool(memory.group(2)) == workers
 
 
 class TestParser:
@@ -140,6 +151,17 @@ class TestCommands:
         assert "workload: heat (4 ranks)" in out
         assert "shards: 2 on the coordinator" in out
         assert "verified: traces byte-identical, clocks bit-identical" in out
+        _assert_priced_with_memory(out)
+
+    def test_sim_tsunami_sharded_verifies(self, capsys):
+        assert main(
+            ["sim", "--workload", "tsunami", "--px", "2", "--py", "2",
+             "--iterations", "4", "--shards", "2", "--verify"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "workload: tsunami (4 ranks)" in out
+        assert "verified: traces byte-identical, clocks bit-identical" in out
+        _assert_priced_with_memory(out)
 
     def test_sim_fig5_worker_processes(self, capsys):
         assert main(
@@ -151,6 +173,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "2 worker process(es)" in out
         assert "verified" in out
+        _assert_priced_with_memory(out, workers=True)
 
     def test_sim_reports_what_the_kernel_tier_did(self, capsys):
         fig5 = ["sim", "--workload", "fig5", "--nodes", "4",
@@ -186,6 +209,7 @@ class TestCommands:
         assert "fast collective(s)" in out
         assert "traced:" in out
         assert "verified" in out
+        _assert_priced_with_memory(out)
 
     def test_fuzz_replay_roundtrip(self, capsys, tmp_path):
         from repro.failures import FailureScenario
