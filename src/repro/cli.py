@@ -203,12 +203,7 @@ def cmd_sim(args) -> int:
 
     from repro.apps.workload import fig5_workload
     from repro.machine.tsubame2 import tsubame2_fti_machine, tsubame2_machine
-    from repro.simmpi import (
-        Engine,
-        ShardedEngine,
-        SparseTraceRecorder,
-        TraceRecorder,
-    )
+    from repro.simmpi import Engine, ShardedEngine, TraceRecorder
 
     if args.workload == "fig5":
         workload = fig5_workload(
@@ -267,8 +262,7 @@ def cmd_sim(args) -> int:
     else:
         machine = tsubame2_machine(-(-nranks // 16), 16)
     network = machine.network
-    recorder_cls = SparseTraceRecorder if args.sparse else TraceRecorder
-    tracer = None if args.no_trace else recorder_cls(nranks, by_kind=True)
+    tracer = None if args.no_trace else TraceRecorder(nranks, by_kind=True)
     engine = ShardedEngine(
         args.shards, workers=args.workers, network=network, tracer=tracer
     )
@@ -317,19 +311,16 @@ def cmd_sim(args) -> int:
     print(memory)
 
     if args.verify:
-        ref_tracer = None if args.no_trace else recorder_cls(
+        ref_tracer = None if args.no_trace else TraceRecorder(
             nranks, by_kind=True
         )
         ref_engine = Engine(nranks, network=network, tracer=ref_tracer)
         ref_engine.run(workload.build_programs())
         ok = clocks == ref_engine.rank_times()
         if tracer is not None:
-            dense, ref_dense = tracer, ref_tracer
-            if args.sparse:
-                dense, ref_dense = tracer.to_dense(), ref_tracer.to_dense()
             ok = ok and bool(
-                np.array_equal(dense.bytes_matrix, ref_dense.bytes_matrix)
-                and np.array_equal(dense.count_matrix, ref_dense.count_matrix)
+                np.array_equal(tracer.bytes_matrix, ref_tracer.bytes_matrix)
+                and np.array_equal(tracer.count_matrix, ref_tracer.count_matrix)
             )
         if not ok:
             print("VERIFY FAILED: sharded run diverged from single-process")
@@ -558,11 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--py", type=int, default=4, help="heat/tsunami: grid py")
     p.add_argument(
         "--nranks", type=int, default=8, help="spectral: world size"
-    )
-    p.add_argument(
-        "--sparse", action="store_true",
-        help="record the trace sparsely (COO) — for 10k-rank worlds where "
-        "a dense nranks² matrix would dominate memory",
     )
     p.add_argument(
         "--no-trace", action="store_true",

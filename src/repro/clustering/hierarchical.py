@@ -96,7 +96,9 @@ def hierarchical_clustering(
         at 4).
     l2_group_nodes:
         Width of the L2 striping groups (4 in the paper: "clusters of 4 or
-        8 processes are already highly reliable if distributed").
+        8 processes are already highly reliable if distributed"). A group
+        never spans more than its L1 cluster, so the name carries the
+        effective width: at most the smallest L1 cluster's node count.
     """
     if node_graph.n != placement.nnodes:
         raise ValueError(
@@ -122,5 +124,6 @@ def hierarchical_clustering(
         l1_node_lists, placement, l2_group_nodes=l2_group_nodes
     )
     typical_l1 = int(np.median([len(v) for v in l1_node_lists]) * placement.procs_per_node)
-    label = name or f"hierarchical-{typical_l1}-{l2_group_nodes}"
+    stripe = min(l2_group_nodes, min(len(v) for v in l1_node_lists))
+    label = name or f"hierarchical-{typical_l1}-{stripe}"
     return Clustering(label, l1_labels, l2_labels)

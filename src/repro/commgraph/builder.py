@@ -17,7 +17,7 @@ from repro.simmpi.tracing import TraceRecorder
 
 def graph_from_trace(tracer: TraceRecorder) -> CommGraph:
     """Whole-world communication graph straight from a trace."""
-    return CommGraph(tracer.bytes_matrix.copy())
+    return CommGraph(tracer.bytes_matrix)
 
 
 def app_graph_from_trace(

@@ -7,7 +7,7 @@ analytically is exact for a stencil (every iteration sends the same
 messages) and keeps the sweep benchmarks fast.
 
 ``synthetic_stencil_matrix`` must agree byte-for-byte with the traced app;
-a test asserts exactly that (``tests/commgraph/test_synthetic.py``).
+a test asserts exactly that (``tests/commgraph/test_builder_synthetic.py``).
 """
 
 from __future__ import annotations

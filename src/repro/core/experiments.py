@@ -264,7 +264,7 @@ def experiment_fig5ab(
     return TraceStudy(
         nranks=placement.nranks,
         bytes_matrix=tracer.bytes_matrix,
-        kind_matrices={k: v.copy() for k, v in tracer.kind_matrices.items()},
+        kind_matrices=dict(tracer.kind_matrices),
         encoder_ranks=placement.encoder_ranks(),
     )
 

@@ -31,7 +31,7 @@ from repro.simmpi.request import (
     Status,
     nbytes_of,
 )
-from repro.simmpi.tracing import SparseTraceRecorder, TraceRecorder
+from repro.simmpi.tracing import TraceRecorder
 from repro.simmpi import collectives
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "ScheduleTrace",
     "ShardedEngine",
     "SimMPIError",
-    "SparseTraceRecorder",
     "Status",
     "TraceRecorder",
     "collectives",

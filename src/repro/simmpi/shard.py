@@ -81,7 +81,7 @@ from repro.simmpi.engine import Engine
 from repro.simmpi.errors import DeadlockError, MatchingError
 from repro.simmpi.network import NetworkModel, zero_latency_network
 from repro.simmpi.request import CollectiveRequest
-from repro.simmpi.tracing import SparseTraceRecorder, TraceRecorder
+from repro.simmpi.tracing import TraceRecorder
 
 
 # --------------------------------------------------------------------------
@@ -147,22 +147,18 @@ def _tracer_spec(tracer) -> tuple | None:
     """Describe a recorder so workers can build their own of the same shape."""
     if tracer is None:
         return None
-    if isinstance(tracer, SparseTraceRecorder):
-        return ("sparse", tracer.nranks, tracer.by_kind)
     if isinstance(tracer, TraceRecorder):
-        return ("dense", tracer.nranks, tracer.by_kind)
+        return (tracer.nranks, tracer.by_kind)
     raise TypeError(
-        f"sharded runs need a mergeable recorder (TraceRecorder or "
-        f"SparseTraceRecorder), got {type(tracer).__name__}"
+        f"sharded runs need a mergeable TraceRecorder, got {type(tracer).__name__}"
     )
 
 
 def _tracer_from_spec(spec: tuple | None):
     if spec is None:
         return None
-    shape, nranks, by_kind = spec
-    cls = SparseTraceRecorder if shape == "sparse" else TraceRecorder
-    return cls(nranks, by_kind=by_kind)
+    nranks, by_kind = spec
+    return TraceRecorder(nranks, by_kind=by_kind)
 
 
 class ShardEngine(Engine):
@@ -470,7 +466,7 @@ class _InlineHost:
 
     def close(self) -> None:
         # A deadlocked or failed run never reaches finish(); its shards
-        # still hold full-world tracers and must not survive the call.
+        # still hold their tracers and must not survive the call.
         for runner in self.runners.values():
             runner.engine._release_run()
 
@@ -640,9 +636,8 @@ class ShardedEngine:
         and is rejected here.
     network / tracer:
         As on :class:`~repro.simmpi.engine.Engine`. The tracer must be a
-        mergeable recorder (:class:`~repro.simmpi.tracing.TraceRecorder`
-        or :class:`~repro.simmpi.tracing.SparseTraceRecorder`); shards
-        record their own traffic and the merge lands on this instance.
+        :class:`~repro.simmpi.tracing.TraceRecorder`; shards record their
+        own traffic and the merge lands on this instance.
     """
 
     def __init__(

@@ -6,6 +6,8 @@ import pytest
 from repro.apps import HeatConfig, HeatSimulation
 from repro.simmpi import Engine, TraceRecorder, run_program
 
+from networks import two_level_network  # tests/simmpi, on pytest's pythonpath
+
 
 def small_cfg(**kw):
     defaults = dict(px=2, py=2, nx=16, ny=16, iterations=10)
@@ -82,7 +84,6 @@ class TestWaveEquivalence:
     @pytest.mark.parametrize("synthetic", [False, True])
     def test_wave_matches_per_message(self, synthetic):
         from repro.apps.workload import ExecutionMode, with_mode
-        from repro.simmpi import Engine, TraceRecorder
 
         cfg = HeatConfig(
             px=2, py=2, nx=8, ny=8, iterations=6, synthetic=synthetic
@@ -91,10 +92,11 @@ class TestWaveEquivalence:
         for mode in ExecutionMode:
             sim = HeatSimulation(with_mode(cfg, mode))
             tracer = TraceRecorder(4, by_kind=True)
-            engine = Engine(4, tracer=tracer)
+            engine = Engine(4, network=two_level_network(), tracer=tracer)
             states = engine.run(sim.make_program())
             runs[mode] = (states, engine.rank_times(), tracer)
         ref = runs.pop(ExecutionMode.PER_MESSAGE)
+        assert max(ref[1]) > 0
         for waved in runs.values():
             assert ref[1] == waved[1]
             np.testing.assert_array_equal(

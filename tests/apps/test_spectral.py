@@ -8,6 +8,8 @@ from repro.clustering import consecutive_clustering
 from repro.commgraph import graph_from_trace
 from repro.simmpi import Engine, TraceRecorder, run_program
 
+from networks import two_level_network  # tests/simmpi, on pytest's pythonpath
+
 
 def small_cfg(**kw):
     defaults = dict(nranks=4, n=16, iterations=3)
@@ -111,10 +113,11 @@ class TestWaveEquivalence:
         for mode in ExecutionMode:
             sim = SpectralSimulation(with_mode(cfg, mode))
             tracer = TraceRecorder(8, by_kind=True)
-            engine = Engine(8, tracer=tracer)
+            engine = Engine(8, network=two_level_network(), tracer=tracer)
             engine.run(sim.make_program())
             runs[mode] = (engine.rank_times(), tracer)
         ref_clocks, ref_tracer = runs.pop(ExecutionMode.PER_MESSAGE)
+        assert max(ref_clocks) > 0
         for clocks, tracer in runs.values():
             assert ref_clocks == clocks
             np.testing.assert_array_equal(

@@ -71,6 +71,22 @@ class TestHierarchicalStructure:
         assert c.n_l2_clusters == 256
         assert c.is_hierarchical
 
+    def test_name_carries_effective_stripe_width(self):
+        """Stripes wider than the 4-node L1 clusters cap at 4 nodes, so
+        identical label arrays must carry an identical name."""
+        g, ng, placement = paper_inputs()
+        runs = [
+            hierarchical_clustering(
+                ng, placement, cost=PAPER_COST, max_nodes_per_l1=4,
+                l2_group_nodes=width,
+            )
+            for width in (4, 8, 16)
+        ]
+        for c in runs[1:]:
+            np.testing.assert_array_equal(c.l1_labels, runs[0].l1_labels)
+            np.testing.assert_array_equal(c.l2_labels, runs[0].l2_labels)
+        assert {c.name for c in runs} == {"hierarchical-64-4"}
+
     def test_l2_nested_in_l1(self):
         g, ng, placement = paper_inputs()
         c = hierarchical_clustering(ng, placement, cost=PAPER_COST)

@@ -8,6 +8,8 @@ from repro.ftilib import FTITraceConfig, make_fti_world_programs
 from repro.machine import FTIPlacement
 from repro.simmpi import Engine, TraceRecorder
 
+from networks import two_level_network  # tests/simmpi, on pytest's pythonpath
+
 
 def run_trace(nodes=4, app_per_node=4, iterations=10, checkpoint_every=5,
               allreduce_every=0):
@@ -132,11 +134,14 @@ class TestWaveEquivalence:
                 ),
             )
             tracer = TraceRecorder(placement.nranks, by_kind=True)
-            engine = Engine(placement.nranks, tracer=tracer)
+            engine = Engine(
+                placement.nranks, network=two_level_network(), tracer=tracer
+            )
             results = engine.run(programs)
             runs[use_waves] = (results, engine.rank_times(), tracer)
         ref, waved = runs[False], runs[True]
         assert ref[0] == waved[0]
+        assert max(ref[1]) > 0
         assert ref[1] == waved[1]
         assert sorted(ref[2].kind_matrices) == sorted(waved[2].kind_matrices)
         for kind, matrix in ref[2].kind_matrices.items():

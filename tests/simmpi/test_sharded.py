@@ -25,7 +25,6 @@ from repro.simmpi import (
     Engine,
     EngineConfig,
     ShardedEngine,
-    SparseTraceRecorder,
     TraceRecorder,
     partition_workload,
 )
@@ -162,13 +161,6 @@ class TestByteIdentity:
         _, clocks, tracer, _ = _sharded(workload, shards)
         assert clocks == ref_clocks
         _assert_tracers_equal(tracer, ref_tracer)
-
-    def test_sparse_recorder_matches_dense(self):
-        workload = _heat_workload()
-        _, _, ref_tracer = _reference(workload)
-        sparse = SparseTraceRecorder(workload.nranks, by_kind=True)
-        ShardedEngine(4, tracer=sparse).run(workload)
-        _assert_tracers_equal(sparse.to_dense(), ref_tracer)
 
     def test_counters_aggregate(self):
         workload = _heat_workload()

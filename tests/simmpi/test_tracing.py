@@ -1,11 +1,14 @@
 """Trace-recorder tests: accumulation, views, persistence, properties."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simmpi import SparseTraceRecorder, TraceRecorder
+from repro.simmpi import TraceRecorder, tracing
 
 
 class TestRecord:
@@ -81,6 +84,24 @@ class TestPersistence:
         assert loaded.total_messages == 2
         assert loaded.total_bytes == 150
 
+    def test_roundtrip_after_mixed_recording(self, tmp_path):
+        t = TraceRecorder(6, by_kind=True)
+        t.record(0, 1, 100, kind="p2p")
+        t.record_many([1, 2, 2], [0, 3, 3], [8, 9, 9], kind="halo", repeats=2)
+        t.record_many([], [], [], kind="barrier")
+        other = TraceRecorder(6)
+        other.record(5, 4, 11)  # kind-less traffic
+        t.merge(other)
+        t.save(tmp_path / "trace.npz")
+        loaded = TraceRecorder.load(tmp_path / "trace.npz")
+        np.testing.assert_array_equal(loaded.bytes_matrix, t.bytes_matrix)
+        np.testing.assert_array_equal(loaded.count_matrix, t.count_matrix)
+        assert sorted(loaded.kind_matrices) == ["barrier", "halo", "p2p"]
+        for kind in t.kind_matrices:
+            np.testing.assert_array_equal(loaded.kind_bytes(kind), t.kind_bytes(kind))
+        assert loaded.total_messages == t.total_messages == 8
+        assert loaded.total_bytes == t.total_bytes
+
 
 class TestMerge:
     def test_dense_merge_sums_everything(self):
@@ -101,61 +122,171 @@ class TestMerge:
         with pytest.raises(ValueError):
             TraceRecorder(3).merge(TraceRecorder(4))
 
-    def test_dense_absorbs_sparse(self):
-        dense = TraceRecorder(4, by_kind=True)
-        sparse = SparseTraceRecorder(4, by_kind=True)
-        sparse.record(1, 2, 30, kind="p2p")
-        sparse.record(1, 2, 10, kind="p2p")
-        dense.merge(sparse)
-        assert dense.bytes_matrix[2, 1] == 40
-        assert dense.count_matrix[2, 1] == 2
-        assert dense.kind_bytes("p2p")[2, 1] == 40
-
-
 class TestSparseRecorder:
+    """The recorder keeps only populated cells; dense views exist on read."""
+
     def test_records_without_dense_allocation(self):
-        t = SparseTraceRecorder(1_000_000)  # dense would be 8 TB
-        t.record(0, 999_999, 64)
-        t.record(0, 999_999, 64)
-        assert t.total_messages == 2
-        assert t.total_bytes == 128
+        tracemalloc.start()
+        try:
+            t = TraceRecorder(1_000_000, by_kind=True)  # dense would be 8 TB
+            t.record(0, 999_999, 64)
+            t.record_many([0, 5], [999_999, 7], 64, kind="bcast", repeats=3)
+            other = TraceRecorder(1_000_000, by_kind=True)
+            other.record(999_999, 0, 1, kind="halo")
+            t.merge(other)
+            keys, nb, counts = t._entries()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert t.total_messages == 8
+        assert t.total_bytes == 64 + 6 * 64 + 1
+        assert keys.size == 4 and counts.sum() == 8 and nb.sum() == t.total_bytes
+        assert sorted(t.kind_matrices) == ["bcast", "halo", "p2p"]
 
     def test_to_dense_matches_dense_recording(self):
+        """Every dense view equals an ``np.add.at`` reference."""
         events = [(0, 1, 10, "p2p"), (2, 3, 5, "bcast"), (0, 1, 3, "p2p")]
-        dense = TraceRecorder(4, by_kind=True)
-        sparse = SparseTraceRecorder(4, by_kind=True)
+        t = TraceRecorder(4, by_kind=True)
+        ref = np.zeros((4, 4))
         for src, dst, n, kind in events:
-            dense.record(src, dst, n, kind=kind)
-            sparse.record(src, dst, n, kind=kind)
-        out = sparse.to_dense()
-        np.testing.assert_array_equal(out.bytes_matrix, dense.bytes_matrix)
-        np.testing.assert_array_equal(out.count_matrix, dense.count_matrix)
-        np.testing.assert_array_equal(
-            out.kind_bytes("p2p"), dense.kind_bytes("p2p")
-        )
+            t.record(src, dst, n, kind=kind)
+            np.add.at(ref, (dst, src), n)
+        np.testing.assert_array_equal(t.bytes_matrix, ref)
+        assert t.bytes_matrix.dtype == np.float64
+        assert t.count_matrix.dtype == np.int64
+        assert t.count_matrix[1, 0] == 2
+        assert t.kind_bytes("p2p")[1, 0] == 13
+        assert t.kind_bytes("bcast")[3, 2] == 5
 
     def test_sparse_merge_sparse(self):
-        a = SparseTraceRecorder(8)
-        b = SparseTraceRecorder(8)
+        a = TraceRecorder(8)
+        b = TraceRecorder(8)
         a.record(0, 1, 10)
         b.record(0, 1, 1)
         b.record(5, 6, 2)
         a.merge(b)
         assert a.total_bytes == 13
         assert a.total_messages == 3
-        assert a.to_dense().bytes_matrix[1, 0] == 11
+        assert a.bytes_matrix[1, 0] == 11
+        assert a.count_matrix[6, 5] == 1
 
     def test_record_many(self):
-        sparse = SparseTraceRecorder(4)
-        dense = TraceRecorder(4)
+        bulk = TraceRecorder(4)
+        scalar = TraceRecorder(4)
         srcs = np.array([0, 1, 1])
         dsts = np.array([2, 3, 3])
         nbytes = np.array([4.0, 8.0, 8.0])
-        sparse.record_many(srcs, dsts, nbytes)
-        dense.record_many(srcs, dsts, nbytes)
-        np.testing.assert_array_equal(
-            sparse.to_dense().bytes_matrix, dense.bytes_matrix
-        )
+        bulk.record_many(srcs, dsts, nbytes)
+        for src, dst, n in zip(srcs, dsts, nbytes):
+            scalar.record(int(src), int(dst), int(n))
+        np.testing.assert_array_equal(bulk.bytes_matrix, scalar.bytes_matrix)
+        np.testing.assert_array_equal(bulk.count_matrix, scalar.count_matrix)
+
+    def test_recording_after_a_read_keeps_accumulating(self):
+        t = TraceRecorder(3, by_kind=True)
+        t.record(0, 1, 5)
+        assert t.bytes_matrix[1, 0] == 5
+        t.record_many([0], [1], [7])
+        assert t.bytes_matrix[1, 0] == 12
+        assert t.kind_bytes("p2p")[1, 0] == 12
+
+    def test_zero_byte_kinds_are_listed(self):
+        t = TraceRecorder(3, by_kind=True)
+        t.record_many([], [], [], kind="barrier")
+        t.record(0, 1, 0, kind="sync")
+        assert "barrier" in t.kind_matrices and "sync" in t.kind_matrices
+        assert "p2p" not in t.kind_matrices
+        assert t.kind_matrices["barrier"].sum() == 0
+        with pytest.raises(KeyError):
+            t.kind_matrices["p2p"]
+
+    def test_compaction_bounds_pending_entries(self):
+        """Many scalar records of a few cells hold O(cells + one chunk)."""
+        t = TraceRecorder(1_000, by_kind=True)
+        cells = [(0, 1), (2, 3), (4, 5)]
+        for i in range(5 * tracing._CHUNK):
+            src, dst = cells[i % 3]
+            t.record(src, dst, 2, kind="p2p" if i % 2 else "halo")
+            assert t._pending <= tracing._CHUNK
+            assert len(t._buf_keys) < tracing._CHUNK
+        assert t._keys.size <= 6
+        assert t.total_messages == 5 * tracing._CHUNK
+        assert t.count_matrix.sum() == t.total_messages
+        assert t.bytes_matrix[1, 0] == 2 * t.count_matrix[1, 0]
+
+    def test_kindless_traffic_merges_into_by_kind_recorder(self):
+        a = TraceRecorder(3, by_kind=True)
+        b = TraceRecorder(3)
+        a.record(0, 1, 4, kind="halo")
+        b.record(0, 1, 6)
+        a.merge(b)
+        assert a.bytes_matrix[1, 0] == 10
+        assert a.kind_bytes("halo")[1, 0] == 4
+        assert list(a.kind_matrices) == ["halo"]
+
+
+_NRANKS = 5
+_KINDS = ("p2p", "bcast", "barrier")
+_rank = st.integers(0, _NRANKS - 1)
+_kind = st.sampled_from(_KINDS)
+_record = st.tuples(st.just("record"), _rank, _rank, st.integers(0, 1000), _kind)
+_many = st.integers(0, 6).flatmap(
+    lambda size: st.tuples(
+        st.just("many"),
+        st.lists(_rank, min_size=size, max_size=size),
+        st.lists(_rank, min_size=size, max_size=size),
+        st.one_of(
+            st.integers(0, 1000),
+            st.lists(st.integers(0, 1000), min_size=size, max_size=size),
+        ),
+        _kind,
+        st.integers(1, 4),
+    )
+)
+_op = st.one_of(
+    _record,
+    _many,
+    st.tuples(st.just("merge"), st.lists(st.one_of(_record, _many), max_size=5)),
+    st.tuples(st.just("read")),
+)
+
+
+class _DenseReference:
+    """The old dense recorder, as ``np.add.at`` over full matrices."""
+
+    def __init__(self):
+        self.bytes = np.zeros((_NRANKS, _NRANKS))
+        self.counts = np.zeros((_NRANKS, _NRANKS), dtype=np.int64)
+        self.kinds: dict[str, np.ndarray] = {}
+        self.messages = 0
+
+    def apply(self, tracer, op):
+        if op[0] == "record":
+            _, src, dst, n, kind = op
+            tracer.record(src, dst, n, kind=kind)
+            srcs, dsts, nb, repeats = [src], [dst], np.array([n], float), 1
+        else:
+            _, srcs, dsts, nbytes, kind, repeats = op
+            tracer.record_many(srcs, dsts, nbytes, kind, repeats=repeats)
+            nb = np.broadcast_to(np.asarray(nbytes, float), (len(srcs),)) * repeats
+        self.kinds.setdefault(kind, np.zeros((_NRANKS, _NRANKS)))
+        np.add.at(self.bytes, (dsts, srcs), nb)
+        np.add.at(self.kinds[kind], (dsts, srcs), nb)
+        np.add.at(self.counts, (dsts, srcs), repeats)
+        self.messages += len(srcs) * repeats
+
+    def check(self, tracer):
+        np.testing.assert_array_equal(tracer.bytes_matrix, self.bytes)
+        np.testing.assert_array_equal(tracer.count_matrix, self.counts)
+        assert tracer.total_messages == self.messages
+        assert tracer.total_bytes == self.bytes.sum()
+        if tracer.by_kind:
+            assert sorted(tracer.kind_matrices) == sorted(self.kinds)
+            for kind, mat in self.kinds.items():
+                np.testing.assert_array_equal(tracer.kind_bytes(kind), mat)
+        else:
+            assert len(tracer.kind_matrices) == 0
 
 
 class TestProperties:
@@ -189,3 +320,27 @@ class TestProperties:
             t.record(src, dst, n)
         sym = t.symmetric_bytes()
         np.testing.assert_array_equal(sym, sym.T)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_op, max_size=25),
+        st.booleans(),
+        st.sampled_from([1, 3, 1 << 14]),
+    )
+    def test_matches_dense_reference(self, ops, by_kind, chunk):
+        """Any interleaving of records, merges and reads equals a dense
+        ``np.add.at`` reference, for every chunk/compaction size."""
+        ref = _DenseReference()
+        with mock.patch.object(tracing, "_CHUNK", chunk):
+            t = TraceRecorder(_NRANKS, by_kind=by_kind)
+            for op in ops:
+                if op[0] == "read":
+                    ref.check(t)
+                elif op[0] == "merge":
+                    other = TraceRecorder(_NRANKS, by_kind=by_kind)
+                    for inner in op[1]:
+                        ref.apply(other, inner)
+                    t.merge(other)
+                else:
+                    ref.apply(t, op)
+            ref.check(t)

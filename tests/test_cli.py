@@ -200,10 +200,10 @@ class TestCommands:
             in capsys.readouterr().out
         )
 
-    def test_sim_spectral_sparse_recorder(self, capsys):
+    def test_sim_spectral_sharded_verifies(self, capsys):
         assert main(
             ["sim", "--workload", "spectral", "--nranks", "4",
-             "--iterations", "2", "--shards", "2", "--sparse", "--verify"]
+             "--iterations", "2", "--shards", "2", "--verify"]
         ) == 0
         out = capsys.readouterr().out
         assert "fast collective(s)" in out
