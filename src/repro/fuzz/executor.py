@@ -4,7 +4,8 @@ Two phases per scenario, each on a fresh machine:
 
 **Phase A — engine differential.** The synthetic, kernel-native tsunami
 runs once on the fully accelerated engine (kernels + vectorized
-collectives + batched p2p) and once with every fast path off, both with
+collectives + batched p2p) and once on
+:class:`~repro.simmpi.ReferenceEngine` (every fast path off), both with
 the scenario's node victims preset in ``Engine.failure_ranks`` and the
 scenario's perturbed network installed. Outcomes (completion pattern,
 deadlock attribution, per-rank clocks) must match bit for bit; while
@@ -61,6 +62,7 @@ from repro.simmpi import (
     DeadlockError,
     Engine,
     EngineConfig,
+    ReferenceEngine,
     ScheduleTrace,
     run_program,
 )
@@ -137,18 +139,15 @@ def _schedule_check(
     record ``non-canonical-schedule`` as the reason.
     """
     shape = scenario.shape
-    trace = (
-        None
+    schedule = (
+        scenario.schedule_seed
         if scenario.schedule_trace is None
         else ScheduleTrace.from_entries(scenario.schedule_trace)
     )
     seeded = Engine(
         shape.nranks,
         network=machine.network,
-        config=EngineConfig(
-            schedule_seed=None if trace is not None else scenario.schedule_seed,
-            schedule_trace=trace,
-        ),
+        config=EngineConfig(schedule=schedule),
     )
     seeded.failure_ranks.update(victims)
     outcome = _engine_outcome(
@@ -186,9 +185,10 @@ def _schedule_check(
 
 
 def _engine_check(scenario: FuzzScenario) -> tuple[bool, bool, dict, str, tuple | None]:
-    """Fast engine vs scalar reference under injection + perturbation,
-    plus the explored-interleaving differential when the scenario carries
-    a schedule seed or trace."""
+    """Fast engine vs :class:`~repro.simmpi.ReferenceEngine` (every fast
+    path off) under injection + perturbation, plus the
+    explored-interleaving differential when the scenario carries a
+    schedule seed or trace."""
     shape = scenario.shape
     machine = shape.machine()
     apply_perturbation(machine, scenario.perturbation)
@@ -217,15 +217,7 @@ def _engine_check(scenario: FuzzScenario) -> tuple[bool, bool, dict, str, tuple 
             "active failure injection recorded no kernel deopt reason"
         )
 
-    reference = Engine(
-        shape.nranks,
-        network=machine.network,
-        config=EngineConfig(
-            use_fast_collectives=False,
-            use_batched_p2p=False,
-            use_kernels=False,
-        ),
-    )
+    reference = ReferenceEngine(shape.nranks, network=machine.network)
     reference.failure_ranks.update(victims)
     ref_outcome = _engine_outcome(
         reference, sim.make_program(iterations=shape.iterations)

@@ -149,21 +149,17 @@ class ScheduleOutcome:
 
 
 def run_schedule(
-    spec: InterleavingSpec,
-    *,
-    schedule_seed: int | None = None,
-    schedule_trace: ScheduleTrace | None = None,
+    spec: InterleavingSpec, schedule: int | ScheduleTrace | None = None
 ) -> ScheduleOutcome:
-    """Run the workload once under one (possibly explored) schedule."""
+    """Run the workload once under one schedule: canonical (``None``),
+    seeded or a replayed trace (see ``EngineConfig.schedule``)."""
     programs, nranks, network = build_world(spec)
     tracer = TraceRecorder(nranks)
     engine = Engine(
         nranks,
         network=network,
         tracer=tracer,
-        config=EngineConfig(
-            schedule_seed=schedule_seed, schedule_trace=schedule_trace
-        ),
+        config=EngineConfig(schedule=schedule),
     )
     trace: tuple = ()
     try:
@@ -208,7 +204,7 @@ def shrink_trace(
             if executions >= max_executions:
                 break
             candidate = current.without_ordinal(ordinal)
-            outcome = run_schedule(spec, schedule_trace=candidate)
+            outcome = run_schedule(spec, candidate)
             executions += 1
             if outcome.failure_kind(canonical) == kind:
                 current = candidate
@@ -313,7 +309,7 @@ def sweep(
     permuted = 0
     shrink_execs = 0
     for seed in seeds:
-        outcome = run_schedule(spec, schedule_seed=seed)
+        outcome = run_schedule(spec, seed)
         permuted += len(outcome.trace)
         kind = outcome.failure_kind(canonical)
         if kind is None:
@@ -377,7 +373,7 @@ def replay_interleaving(data: dict) -> tuple[str | None, str]:
         for ordinal, perm in data.get("schedule_trace", [])
     )
     canonical = run_schedule(spec)
-    observed = run_schedule(spec, schedule_trace=trace)
+    observed = run_schedule(spec, trace)
     return observed.failure_kind(canonical), data["classification"]
 
 

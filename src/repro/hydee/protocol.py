@@ -41,6 +41,7 @@ from repro.ftilib.checkpointer import MultilevelCheckpointer, fti_rs_code
 from repro.hydee.logging import MessageLog
 from repro.machine.machine import Machine
 from repro.models.encoding_time import EncodingTimeModel
+from repro.simmpi.config import EngineConfig
 from repro.simmpi.engine import Engine
 from repro.simmpi.tracing import TraceRecorder
 
@@ -251,12 +252,12 @@ def run_with_protocol(
         keep_versions=keep_versions,
     )
     tracer = TraceRecorder(nranks) if trace else None
-    engine = Engine(nranks, network=machine.network, tracer=tracer)
-    engine.message_log = protocol.log
     # The checkpoint sidecars snapshot per-channel receive positions, so
     # this run needs the engine's (opt-in) receive counting; together with
     # the message log it pins every collective to the per-message path.
-    engine.track_recv_counts = True
+    config = EngineConfig(track_recv_counts=True)
+    engine = Engine(nranks, network=machine.network, tracer=tracer, config=config)
+    engine.message_log = protocol.log
     program = sim.make_program(iterations=iterations, hook=protocol.make_hook())
     states = engine.run(program)
     return ProtocolRunResult(

@@ -12,6 +12,7 @@ message is byte-accurately recorded by
 from repro.simmpi.comm import Communicator
 from repro.simmpi.config import EngineConfig
 from repro.simmpi.engine import Engine, KernelLoop, RankContext, run_program
+from repro.simmpi.reference import ReferenceEngine
 from repro.simmpi.schedule import ScheduleTrace
 from repro.simmpi.shard import ShardedEngine, partition_workload
 from repro.simmpi.errors import (
@@ -51,6 +52,7 @@ __all__ = [
     "PersistentSendRequest",
     "RankContext",
     "RankFailedError",
+    "ReferenceEngine",
     "ScheduleTrace",
     "ShardedEngine",
     "SimMPIError",

@@ -374,7 +374,8 @@ class Communicator:
         cascade) whose membership is registered with the engine (the world
         communicator and everything created by :meth:`split`), and gated on
         the engine's per-run eligibility (no message log, no receive
-        counting, no failure injection, fast paths enabled).
+        counting, no failure injection, not a
+        :class:`~repro.simmpi.reference.ReferenceEngine`).
         """
         engine = self.ctx.engine
         ok = self._group_ok

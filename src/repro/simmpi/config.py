@@ -1,17 +1,22 @@
 """One frozen, picklable configuration object for the simulation engine.
 
-:class:`EngineConfig` consolidates the engine's keyword sprawl — the
-fast-path gates (``use_fast_collectives`` / ``use_batched_p2p`` /
-``use_kernels``), the pool sizing, the interleaving-exploration knobs and
-the failure/observer gates — into one validated dataclass. It exists so
-any consumer that replicates engines (the sharded multi-process engine's
-workers, the fuzz executor, replay tooling) ships *one object* across a
-process boundary instead of replaying keyword arguments, with the
-guarantee that two engines built from equal configs behave identically.
+:class:`EngineConfig` holds every knob of a production engine run — the
+pool sizing, the interleaving schedule, failure injection and receive
+counting — in one validated dataclass. It exists so any consumer that
+replicates engines (the sharded multi-process engine's workers, the fuzz
+executor, replay tooling) ships *one object* across a process boundary
+instead of replaying keyword arguments, with the guarantee that two
+engines built from equal configs behave identically.
 
 ``Engine(nranks, config=...)``, ``run_program(..., config=...)`` and the
 sharded engines all take exactly this object; there is no loose-keyword
-spelling of any field, so "which flag won?" cannot arise.
+spelling of any field and no field overrides another, so "which flag
+won?" cannot arise.
+
+The fast paths have no switch here. Each self-gates per run on the
+observers below, and the all-off reference the equivalence suites compare
+against is a class, :class:`~repro.simmpi.reference.ReferenceEngine`, not
+a config.
 
 The config is intentionally *immutable and value-like*: ``frozen=True``
 makes it hashable and safe to share, and every field is built from
@@ -25,66 +30,38 @@ engine, not configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.simmpi.schedule import ScheduleTrace
+from repro.simmpi.schedule import ScheduleTrace
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Validated, picklable engine construction parameters.
 
-    use_fast_collectives:
-        Allow collectives (world or split sub-communicator) to take the
-        vectorized fast path. ``False`` pins every collective to the
-        point-to-point generator cascade (the equivalence suite's
-        reference).
-    use_batched_p2p:
-        Price point-to-point sends in vectorized waves (one
-        :meth:`NetworkModel.transfer_times
-        <repro.simmpi.network.NetworkModel.transfer_times>` call and one
-        fancy-indexed pool assignment per drained batch) instead of one
-        scalar ``transfer_time`` call per message. Arrival times are
-        bit-identical either way; ``False`` pins the scalar reference.
-    use_kernels:
-        Allow :class:`~repro.simmpi.engine.KernelLoop` steady-state loops
-        to compile into closed-form kernels once the held ranks cycle
-        through a static wave closed over themselves (ranks blocked
-        outside the loop do not matter). ``False`` pins the loop's
-        interpreted expansion (still zero generator wakeups between
-        matching points, but every message posted individually — the
-        kernel equivalence suite's reference). The vectorized path
-        additionally self-gates like the other fast paths: any
-        per-message observer (``message_log``, ``track_recv_counts``,
-        failure injection) or ``use_batched_p2p=False`` keeps the
-        interpreted expansion.
     pool_capacity:
         Initial :class:`~repro.simmpi.request.MessagePool` slot count; the
         pool doubles on demand, so this only sizes the steady state (tests
         use tiny capacities to exercise growth).
-    schedule_seed:
-        Seeded interleaving exploration. When set, every scheduler batch
-        is permuted by a dedicated ``numpy`` Generator after its canonical
+    schedule:
+        Interleaving exploration. ``None`` (the default) keeps the
+        canonical drain byte-for-byte (the permutation machinery is
+        bypassed entirely). An ``int`` seeds a dedicated ``numpy``
+        Generator that permutes every scheduler batch after its canonical
         ascending sort — the ranks of a batch are causally unordered, so
         every permuted drain is a legal MPI schedule; per-rank program
         order and per-(sender, communicator) non-overtaking are untouched.
         What changes is the *global* posting-sequence interleaving, which
         is what wildcard arbitration and deadlock hunting need to see
-        varied. ``None`` keeps the canonical drain byte-for-byte (the
-        permutation machinery is bypassed entirely). Applied permutations
-        are recorded on ``Engine.schedule_trace`` after every run, so any
-        explored schedule replays exactly from the seed or from the
-        recorded trace. Steady-state kernels deopt under a non-canonical
-        schedule (``kernel_deopts["non-canonical-schedule"]``): their
-        closed-form execution assumes the canonical posting sequence.
-    schedule_trace:
-        Replay a recorded :class:`~repro.simmpi.schedule.ScheduleTrace`
-        instead of drawing permutations from a seed (repro files and the
-        schedule shrinker use this). Entries whose permutation length no
-        longer matches the batch are skipped — the batch drains
-        canonically — so partially-reverted traces stay legal. Takes
-        precedence over ``schedule_seed`` when both are given.
+        varied. A recorded :class:`~repro.simmpi.schedule.ScheduleTrace`
+        replays its permutations instead of drawing them (repro files and
+        the schedule shrinker use this); entries whose permutation length
+        no longer matches the batch are skipped — the batch drains
+        canonically — so partially-reverted traces stay legal. Applied
+        permutations are recorded on ``Engine.schedule_trace`` after every
+        run, so any explored schedule replays exactly from the seed or
+        from the recorded trace. Steady-state kernels deopt under a
+        non-canonical schedule (``kernel_deopts["non-canonical-schedule"]``):
+        their closed-form execution assumes the canonical posting sequence.
     failure_ranks:
         Ranks that fail by raising
         :class:`~repro.simmpi.errors.RankFailedError` inside their program
@@ -93,15 +70,14 @@ class EngineConfig:
         ``failure_ranks`` set (failure layers arm ranks mid-run).
     track_recv_counts:
         Enable per-channel consumed-receive counting (the protocol
-        layer's receiver-position sidecars).
+        layer's receiver-position sidecars). Like ``message_log`` and
+        failure injection it is a per-message observer, so it keeps every
+        collective on the point-to-point cascade and every ``KernelLoop``
+        on its interpreted expansion.
     """
 
-    use_fast_collectives: bool = True
-    use_batched_p2p: bool = True
-    use_kernels: bool = True
     pool_capacity: int = 512
-    schedule_seed: int | None = None
-    schedule_trace: "ScheduleTrace | None" = None
+    schedule: int | ScheduleTrace | None = None
     failure_ranks: frozenset[int] = field(default_factory=frozenset)
     track_recv_counts: bool = False
 
@@ -110,9 +86,12 @@ class EngineConfig:
             raise ValueError(
                 f"pool_capacity must be a positive int, got {self.pool_capacity!r}"
             )
-        if self.schedule_seed is not None and not isinstance(self.schedule_seed, int):
+        if self.schedule is not None and not isinstance(
+            self.schedule, (int, ScheduleTrace)
+        ):
             raise ValueError(
-                f"schedule_seed must be an int or None, got {self.schedule_seed!r}"
+                "schedule must be an int seed, a ScheduleTrace or None, "
+                f"got {self.schedule!r}"
             )
         # Coerce any iterable of ranks to a hashable frozenset so configs
         # built with a plain set/list/tuple stay frozen and hashable.

@@ -31,7 +31,7 @@ the same way, until no rank is runnable. The schedule is a pure function
 of the programs — no heap, no wall-clock, no iteration order over hash
 containers — so runs are exactly reproducible.
 
-``EngineConfig(schedule_seed=...)`` turns on *interleaving exploration*:
+``EngineConfig(schedule=seed)`` turns on *interleaving exploration*:
 each batch is additionally permuted by a dedicated seeded Generator after its
 canonical sort. Ranks within a batch are causally unordered, so every
 permuted drain is a legal MPI schedule — per-rank program order and
@@ -40,7 +40,7 @@ posting-sequence interleaving (and therefore wildcard arbitration and
 deadlock potential) varies. Applied permutations are recorded as a
 :class:`~repro.simmpi.schedule.ScheduleTrace` so any explored schedule
 replays exactly, from the seed or from the trace
-(``EngineConfig(schedule_trace=...)``). The default path is byte-for-byte the
+(``EngineConfig(schedule=trace)``). The default path is byte-for-byte the
 canonical drain, and steady-state kernels deopt
 (``non-canonical-schedule``) while exploring.
 
@@ -86,9 +86,11 @@ recording is batched on the same cadence: each wave accumulates per-kind
 :meth:`TraceRecorder.record_many <repro.simmpi.tracing.TraceRecorder.record_many>`,
 which produces byte-identical matrices to per-message recording (integer
 byte counts — accumulation order cannot perturb the float sums). Arrival
-times are bit-identical to the scalar path (``use_batched_p2p=False`` pins
-the per-message reference, which also keeps per-message trace recording;
-the equivalence suite compares both).
+times are bit-identical to scalar pricing: the
+:class:`~repro.simmpi.reference.ReferenceEngine` flushes a one-slot wave
+after every send, which the flush prices with scalar ``transfer_time``
+and records with per-message ``TraceRecorder.record``, and the
+equivalence suites compare both.
 
 Persistent-request waves
 ------------------------
@@ -146,10 +148,12 @@ same message counts, same clocks, same results — and is therefore active
 even under tracing. It deactivates (per run) whenever a per-message
 observer needs to see the individual point-to-point messages: a
 ``message_log`` (sender-based payload logging), ``track_recv_counts``
-(receiver-position sidecars), a non-empty ``failure_ranks`` set (failures
-strike mid-cascade), or ``use_fast_collectives=False`` (the equivalence
-tests' pin). Communicators whose membership the engine does not know
-(e.g. the HydEE replay communicator) always run the cascade.
+(receiver-position sidecars) or a non-empty ``failure_ranks`` set
+(failures strike mid-cascade). Communicators whose membership the engine
+does not know (e.g. the HydEE replay communicator) always run the
+cascade, and so does every collective of the
+:class:`~repro.simmpi.reference.ReferenceEngine`, the equivalence suites'
+reference.
 """
 
 from __future__ import annotations
@@ -503,12 +507,11 @@ class Engine:
         ordering semantics and traces while making unit tests trivial.
     tracer:
         Optional :class:`TraceRecorder`; when provided, every message is
-        recorded (fast-path collectives and batched p2p waves record the
-        same messages in bulk; the scalar p2p reference records at post
-        time).
+        recorded (fast-path collectives, p2p waves and kernels record the
+        same messages in bulk).
     config:
-        Every other knob — fast-path gates, pool sizing, interleaving
-        exploration, failure/observer gates — as one frozen, picklable
+        Every other knob — pool sizing, interleaving exploration,
+        failure/observer gates — as one frozen, picklable
         :class:`~repro.simmpi.config.EngineConfig` (documented field by
         field there); ``None`` means ``EngineConfig()``. It is what the
         sharded engine's workers and the fuzz executor replicate across
@@ -531,18 +534,16 @@ class Engine:
         self.nranks = nranks
         self.network = network or zero_latency_network()
         self.tracer = tracer
-        self.use_fast_collectives = config.use_fast_collectives
-        self.use_batched_p2p = config.use_batched_p2p
-        self.use_kernels = config.use_kernels
         # Mutable working copy: the failure layers arm ranks mid-run.
         self.failure_ranks: set[int] = set(config.failure_ranks)
 
-        # Interleaving exploration (see EngineConfig.schedule_seed).
+        # Interleaving exploration (see EngineConfig.schedule).
         # ``schedule_trace`` publishes the permutations the last run
         # applied (None after canonical runs); ``_replay_trace`` is the
         # recorded trace a replay run applies instead of drawing.
-        self.schedule_seed = config.schedule_seed
-        self._replay_trace = config.schedule_trace
+        self._replay_trace = (
+            config.schedule if isinstance(config.schedule, ScheduleTrace) else None
+        )
         self.schedule_trace: ScheduleTrace | None = None
         self._sched_exploring = False
 
@@ -837,28 +838,24 @@ class Engine:
         # (payload log, receive counting, failure injection) need the
         # cascade's individual messages.
         self._fast_coll_active = (
-            self.use_fast_collectives
-            and self.message_log is None
+            self.message_log is None
             and not self.track_recv_counts
             and not self.failure_ranks
         )
         # Steady-state kernels share the observers gate (vectorized
-        # execution posts no individual messages) and additionally need the
-        # batched p2p invariants. Failure injection is re-checked at every
-        # trigger: tests arm it mid-run. Compiled kernels cannot outlive
-        # the ops they were compiled from, so the cache resets per run.
+        # execution posts no individual messages). Failure injection is
+        # re-checked at every trigger: tests arm it mid-run. Compiled
+        # kernels cannot outlive the ops they were compiled from, so the
+        # cache resets per run.
         # Interleaving exploration: a dedicated Generator (or a recorded
         # trace) permutes each batch after its canonical sort. With
-        # ``schedule_seed=None`` and no replay trace, ``exploring`` is
-        # False and the scheduler below is byte-for-byte the canonical
-        # deterministic drain.
+        # ``schedule=None``, ``exploring`` is False and the scheduler
+        # below is byte-for-byte the canonical deterministic drain.
+        schedule = self.config.schedule
         sched_rng = None
-        replay = self._replay_trace
-        if self.schedule_seed is not None and replay is None:
-            sched_rng = np.random.Generator(
-                np.random.PCG64(int(self.schedule_seed))
-            )
-        exploring = sched_rng is not None or replay is not None
+        if schedule is not None and self._replay_trace is None:
+            sched_rng = np.random.Generator(np.random.PCG64(int(schedule)))
+        exploring = schedule is not None
         self._sched_exploring = exploring
         self._sched_rng = sched_rng
         self._sched_recorder: list[tuple[int, tuple[int, ...]]] = []
@@ -868,9 +865,7 @@ class Engine:
         self._kernel_cache = {}
         self._kernel_held = []
         self._kernel_fast_ok = (
-            self.use_kernels
-            and self.use_batched_p2p
-            and self.message_log is None
+            self.message_log is None
             and not self.track_recv_counts
             and not exploring
         )
@@ -1114,29 +1109,22 @@ class Engine:
         slot = free.pop()
         seq = self._seq
         self._seq = seq + 1
-        clock = state.ctx.clock
-        if self.use_batched_p2p:
-            # Defer pricing: the slot carries the UNPRICED sentinel until
-            # some receiver needs it, at which point the whole accumulated
-            # wave is priced in one vectorized transfer_times call (the
-            # halo exchange posts 4 sends per rank per iteration before
-            # anyone waits, so whole waves of sends price together). Trace
-            # recording rides the same wave: the flush gathers (src, dst,
-            # nbytes) straight from the pool columns it is pricing.
-            arrival = UNPRICED
-            self._wave_slots.append(slot)
-            self._wave_kinds.append(kind)
-        else:
-            arrival = clock + self.network.transfer_time(src, dst, nbytes)
-            if self.tracer is not None:
-                self.tracer.record(src, dst, nbytes, kind=kind)
+        # Defer pricing: the slot carries the UNPRICED sentinel until some
+        # receiver needs it, at which point the whole accumulated wave is
+        # priced in one vectorized transfer_times call (the halo exchange
+        # posts 4 sends per rank per iteration before anyone waits, so
+        # whole waves of sends price together). Trace recording rides the
+        # same wave: the flush gathers (src, dst, nbytes) straight from the
+        # pool columns it is pricing.
+        self._wave_slots.append(slot)
+        self._wave_kinds.append(kind)
         pool.src[slot] = src
         pool.dst[slot] = dst
         pool.tag[slot] = tag
         pool.comm_id[slot] = comm_id
         pool.nbytes[slot] = nbytes
-        pool.send_time[slot] = clock
-        pool.arrival[slot] = arrival
+        pool.send_time[slot] = state.ctx.clock
+        pool.arrival[slot] = UNPRICED
         pool.seq[slot] = seq
         pool.payload[slot] = payload
         pool.kind[slot] = kind
@@ -2057,12 +2045,9 @@ class Engine:
             request.slot = -1
             pool.payload[slot] = None
             pool.kind[slot] = None
-            if self.use_batched_p2p:
-                # The slot may still sit on the current pricing/tracing
-                # wave: recycle it only after the wave flushes.
-                self._deferred_free.append(slot)
-            else:
-                pool.free.append(slot)
+            # The slot may still sit on the current pricing/tracing wave:
+            # recycle it only after the wave flushes.
+            self._deferred_free.append(slot)
             ctx = state.ctx
             if arrival > ctx.clock:
                 ctx.clock = arrival

@@ -654,9 +654,9 @@ class ShardedEngine:
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         config = config if config is not None else EngineConfig()
-        if config.schedule_seed is not None or config.schedule_trace is not None:
+        if config.schedule is not None:
             raise ValueError(
-                "interleaving exploration (schedule_seed/schedule_trace) is "
+                "interleaving exploration (EngineConfig.schedule) is "
                 "single-process only; run it on Engine directly"
             )
         self.shards = shards

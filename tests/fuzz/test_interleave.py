@@ -70,9 +70,7 @@ class TestRaceDemoSweep:
         assert len(finding.trace) == 1
         from repro.simmpi import ScheduleTrace
 
-        outcome = run_schedule(
-            RACE, schedule_trace=ScheduleTrace.from_entries(finding.trace)
-        )
+        outcome = run_schedule(RACE, ScheduleTrace.from_entries(finding.trace))
         assert outcome.status == "deadlock"
         assert outcome.blocked == (0,)
 

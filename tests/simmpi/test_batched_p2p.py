@@ -1,11 +1,12 @@
 """Equivalence suite for batched point-to-point pricing.
 
-``use_batched_p2p=True`` (the default) defers each send's arrival-time
-computation and prices whole waves of sends in one vectorized
-``NetworkModel.transfer_times`` call; ``False`` pins the per-message scalar
-``transfer_time`` reference. The two must be indistinguishable: identical
-results, bit-identical per-rank virtual clocks, byte-identical traces —
-under fast collectives, under the cascade, and on stencil halo workloads.
+The production ``Engine`` defers each send's arrival-time computation and
+prices whole waves of sends in one vectorized
+``NetworkModel.transfer_times`` call; ``ReferenceEngine`` prices every
+send with scalar ``transfer_time`` as it is posted. The two must be
+indistinguishable: identical results, bit-identical per-rank virtual
+clocks, byte-identical traces — under fast collectives, under the
+cascade, and on stencil halo workloads.
 """
 
 import numpy as np
@@ -17,42 +18,19 @@ from repro.apps.stencil import (
     halo_wave_init,
     synthetic_halo_exchange,
 )
-from repro.simmpi import Engine, EngineConfig, TraceRecorder
+from repro.simmpi import Engine, EngineConfig, ReferenceEngine
 
-from networks import two_level_network  # same-directory module
+from networks import (
+    assert_matches_reference,
+    assert_runs_equal,
+    run_engine,
+    two_level_network,
+)
 
-
-def run_both_pricings(program, size, *, fast_collectives=True):
-    """Run ``program`` with scalar and batched p2p pricing; return records."""
-    records = []
-    for batched in (False, True):
-        tracer = TraceRecorder(size, by_kind=True)
-        engine = Engine(
-            size,
-            network=two_level_network(),
-            tracer=tracer,
-            config=EngineConfig(
-                use_fast_collectives=fast_collectives, use_batched_p2p=batched
-            ),
-        )
-        results = engine.run(program)
-        records.append(
-            {"results": results, "clocks": engine.rank_times(), "tracer": tracer}
-        )
-    return records
-
-
-def assert_pricing_equivalent(program, size, **kwargs):
-    scalar, batched = run_both_pricings(program, size, **kwargs)
-    assert scalar["results"] == batched["results"]
-    assert scalar["clocks"] == batched["clocks"], "virtual clocks diverged"
-    np.testing.assert_array_equal(
-        scalar["tracer"].bytes_matrix, batched["tracer"].bytes_matrix
-    )
-    np.testing.assert_array_equal(
-        scalar["tracer"].count_matrix, batched["tracer"].count_matrix
-    )
-    return scalar, batched
+#: Receive counting is a per-message observer: it keeps the production
+#: engine's collectives on the point-to-point cascade, so batched pricing
+#: has to price the cascade's traffic.
+CASCADE = EngineConfig(track_recv_counts=True)
 
 
 class TestStencilWorkloads:
@@ -66,7 +44,7 @@ class TestStencilWorkloads:
                 yield from synthetic_halo_exchange(ctx.comm, grid, nfields=3)
             return ctx.now
 
-        assert_pricing_equivalent(program, grid.nranks)
+        assert_matches_reference(program, grid.nranks)
 
     def test_real_payload_halo_exchange(self):
         grid = ProcessGrid(px=3, py=2, nx=12, ny=8)
@@ -80,7 +58,7 @@ class TestStencilWorkloads:
                 field[1:-1, 1:-1] += 1.0
             return field.sum()
 
-        assert_pricing_equivalent(program, grid.nranks)
+        assert_matches_reference(program, grid.nranks)
 
     def test_stencil_with_per_iteration_split_allreduce(self):
         """The paper's app shape: halo waves plus a group allreduce."""
@@ -94,10 +72,8 @@ class TestStencilWorkloads:
                 total = yield from row_comm.allreduce(total + ctx.rank)
             return (total, ctx.now)
 
-        for fast in (False, True):
-            assert_pricing_equivalent(
-                program, grid.nranks, fast_collectives=fast
-            )
+        for config in (None, CASCADE):
+            assert_matches_reference(program, grid.nranks, config=config)
 
 
 class TestPricingSemantics:
@@ -114,7 +90,7 @@ class TestPricingSemantics:
             extra = yield from ctx.comm.recv()  # ANY_SOURCE / ANY_TAG
             return (got, extra, ctx.now)
 
-        assert_pricing_equivalent(program, size)
+        assert_matches_reference(program, size)
 
     def test_self_send_prices_to_zero_transfer(self):
         def program(ctx):
@@ -123,7 +99,7 @@ class TestPricingSemantics:
             got = yield from ctx.comm.recv(source=ctx.rank, tag=1)
             return (got, ctx.now)
 
-        scalar, batched = assert_pricing_equivalent(program, 2)
+        _, batched = assert_matches_reference(program, 2)
         # Self-transfer is free: the wait must not move the clock past 0.5.
         assert batched["results"][0] == (b"local", 0.5)
 
@@ -140,8 +116,8 @@ class TestPricingSemantics:
         assert engine.run(fire_and_forget) == [0.0, 0.0]
 
     def test_cascade_collectives_price_identically(self):
-        """With fast collectives off, every collective is p2p traffic — the
-        batched pricing must reproduce the cascade clocks exactly."""
+        """With the cascade forced, every collective is p2p traffic — the
+        batched pricing must reproduce the scalar cascade clocks exactly."""
         size = 6
 
         def program(ctx):
@@ -150,7 +126,8 @@ class TestPricingSemantics:
             blocks = yield from ctx.comm.allgather(total * ctx.rank)
             return (total, blocks, ctx.now)
 
-        assert_pricing_equivalent(program, size, fast_collectives=False)
+        _, batched = assert_matches_reference(program, size, config=CASCADE)
+        assert batched["engine"].fast_collectives_run == 0
 
 
 class TestPersistentWaves:
@@ -179,17 +156,10 @@ class TestPersistentWaves:
                 yield drain
             return ctx.now
 
-        reference = run_both_pricings(permsg, grid.nranks)[0]
-        for batched in (0, 1):
-            waved = run_both_pricings(wave, grid.nranks)[batched]
-            assert reference["results"] == waved["results"]
-            assert reference["clocks"] == waved["clocks"]
-            np.testing.assert_array_equal(
-                reference["tracer"].bytes_matrix, waved["tracer"].bytes_matrix
-            )
-            np.testing.assert_array_equal(
-                reference["tracer"].count_matrix, waved["tracer"].count_matrix
-            )
+        reference = run_engine(permsg, grid.nranks, engine_cls=ReferenceEngine)
+        for engine_cls in (ReferenceEngine, Engine):
+            waved = run_engine(wave, grid.nranks, engine_cls=engine_cls)
+            assert_runs_equal(reference, waved, f"{engine_cls.__name__} waves")
 
     def test_wave_with_split_allreduce(self):
         """Waves interleave with group collectives exactly like the
@@ -217,13 +187,11 @@ class TestPersistentWaves:
                 total = yield from row_comm.allreduce(total + ctx.rank)
             return (total, ctx.now)
 
-        for fast in (False, True):
-            ref = run_both_pricings(permsg, grid.nranks, fast_collectives=fast)
-            waved = run_both_pricings(wave, grid.nranks, fast_collectives=fast)
-            for mode in (0, 1):
-                assert ref[mode]["results"] == waved[mode]["results"]
-                assert ref[mode]["clocks"] == waved[mode]["clocks"]
-                np.testing.assert_array_equal(
-                    ref[mode]["tracer"].bytes_matrix,
-                    waved[mode]["tracer"].bytes_matrix,
-                )
+        for engine_cls, config in (
+            (ReferenceEngine, None),
+            (Engine, None),
+            (Engine, CASCADE),
+        ):
+            ref = run_engine(permsg, grid.nranks, engine_cls=engine_cls, config=config)
+            waved = run_engine(wave, grid.nranks, engine_cls=engine_cls, config=config)
+            assert_runs_equal(ref, waved, f"{engine_cls.__name__} waves")

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.simmpi import Engine, EngineConfig, run_program
+from repro.simmpi import Engine, EngineConfig, ScheduleTrace, run_program
 
 
 def _ping_pong(ctx):
@@ -20,19 +20,19 @@ def _ping_pong(ctx):
 class TestConstruction:
     def test_defaults(self):
         cfg = EngineConfig()
-        assert cfg.use_fast_collectives
-        assert cfg.use_batched_p2p
-        assert cfg.use_kernels
         assert cfg.pool_capacity == 512
-        assert cfg.schedule_seed is None
-        assert cfg.schedule_trace is None
+        assert cfg.schedule is None
         assert cfg.failure_ranks == frozenset()
         assert not cfg.track_recv_counts
 
     def test_equality_and_hash(self):
         assert EngineConfig() == EngineConfig()
         assert hash(EngineConfig()) == hash(EngineConfig())
-        assert EngineConfig(use_kernels=False) != EngineConfig()
+        assert EngineConfig(track_recv_counts=True) != EngineConfig()
+        trace = ScheduleTrace(((0, (1, 0)),))
+        assert hash(EngineConfig(schedule=trace)) == hash(
+            EngineConfig(schedule=ScheduleTrace(((0, (1, 0)),)))
+        )
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -47,7 +47,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             EngineConfig(pool_capacity=0)
         with pytest.raises(ValueError):
-            EngineConfig(schedule_seed="not-an-int")
+            EngineConfig(schedule="not-an-int")
+        with pytest.raises(ValueError):
+            EngineConfig(schedule=((0, (1, 0)),))  # entries, not a ScheduleTrace
         with pytest.raises(ValueError):
             EngineConfig(failure_ranks=[-1])
 
@@ -57,8 +59,9 @@ class TestPickling:
         "cfg",
         [
             EngineConfig(),
-            EngineConfig(use_batched_p2p=False, pool_capacity=16),
-            EngineConfig(schedule_seed=42, failure_ranks=(2, 5)),
+            EngineConfig(track_recv_counts=True, pool_capacity=16),
+            EngineConfig(schedule=42, failure_ranks=(2, 5)),
+            EngineConfig(schedule=ScheduleTrace(((3, (2, 0, 1)),))),
         ],
     )
     def test_round_trip(self, cfg):
@@ -69,10 +72,10 @@ class TestPickling:
 
 class TestEngineIntegration:
     def test_config_is_primary_constructor(self):
-        cfg = EngineConfig(use_batched_p2p=False, use_kernels=False)
+        cfg = EngineConfig(pool_capacity=4, track_recv_counts=True)
         engine = Engine(2, config=cfg)
         assert engine.config is cfg
-        assert not engine.use_batched_p2p and not engine.use_kernels
+        assert engine.pool.capacity == 4 and engine.track_recv_counts
         assert Engine(2).config == EngineConfig()
         assert engine.run([_ping_pong] * 2) == Engine(2).run([_ping_pong] * 2)
 
@@ -80,12 +83,9 @@ class TestEngineIntegration:
         """Every knob lives on the config: any loose keyword is a TypeError,
         with or without a config beside it."""
         for loose in (
-            {"use_fast_collectives": False},
-            {"use_batched_p2p": False},
-            {"use_kernels": False},
             {"pool_capacity": 9},
-            {"schedule_seed": 1},
-            {"schedule_trace": None},
+            {"schedule": 1},
+            {"track_recv_counts": True},
         ):
             with pytest.raises(TypeError, match="unexpected keyword"):
                 Engine(2, **loose)
@@ -94,7 +94,7 @@ class TestEngineIntegration:
 
     def test_run_program_takes_only_a_config(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
-            run_program(_ping_pong, 2, schedule_seed=1)
+            run_program(_ping_pong, 2, schedule=1)
         assert run_program(
-            _ping_pong, 2, config=EngineConfig(schedule_seed=1)
+            _ping_pong, 2, config=EngineConfig(schedule=1)
         ) == run_program(_ping_pong, 2)

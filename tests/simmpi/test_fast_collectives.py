@@ -1,11 +1,12 @@
 """Engine-equivalence suite: fast-path collectives vs the generator cascade.
 
-Every test runs the same rank program twice — once with
-``use_fast_collectives=False`` (the point-to-point cascade reference) and
-once with the vectorized fast path — under a non-trivial two-level network,
-and asserts the runs are indistinguishable: same results, same per-rank
-virtual clocks (exact float equality), same trace matrices (bytes, counts,
-per-kind), with and without failure injection.
+Every test runs the same rank program twice — once on
+``ReferenceEngine`` (the point-to-point cascade reference) and once on
+the production ``Engine`` with its vectorized fast path — under a
+non-trivial two-level network, and asserts the runs are
+indistinguishable: same results, same per-rank virtual clocks (exact
+float equality), same trace matrices (bytes, counts, per-kind), with and
+without failure injection.
 """
 
 import numpy as np
@@ -17,76 +18,13 @@ from repro.simmpi import (
     DeadlockError,
     Engine,
     EngineConfig,
-    TraceRecorder,
+    ReferenceEngine,
 )
 from repro.simmpi.collectives import max_op, sum_op
 
-from networks import two_level_network  # same-directory module
+from networks import assert_collectives_match, two_level_network
 
 SIZES = [2, 3, 4, 5, 8, 13]
-
-
-def _structurally_equal(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (
-            isinstance(a, np.ndarray)
-            and isinstance(b, np.ndarray)
-            and a.shape == b.shape
-            and bool((a == b).all())
-        )
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(
-            _structurally_equal(a[k], b[k]) for k in a
-        )
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return (
-            type(a) is type(b)
-            and len(a) == len(b)
-            and all(_structurally_equal(x, y) for x, y in zip(a, b))
-        )
-    return type(a) is type(b) and a == b
-
-
-def run_pair(program, size, *, failure_ranks=()):
-    """Run ``program`` on both engine variants; return both run records."""
-    records = []
-    for fast in (False, True):
-        tracer = TraceRecorder(size, by_kind=True)
-        engine = Engine(
-            size,
-            network=two_level_network(),
-            tracer=tracer,
-            config=EngineConfig(use_fast_collectives=fast),
-        )
-        engine.failure_ranks.update(failure_ranks)
-        results = engine.run(program)
-        records.append(
-            {
-                "results": results,
-                "clocks": engine.rank_times(),
-                "tracer": tracer,
-                "fast_runs": engine.fast_collectives_run,
-            }
-        )
-    return records
-
-
-def assert_equivalent(program, size, *, expect_fast=True, failure_ranks=()):
-    slow, fast = run_pair(program, size, failure_ranks=failure_ranks)
-    assert _structurally_equal(slow["results"], fast["results"])
-    assert slow["clocks"] == fast["clocks"], "virtual clocks diverged"
-    ts, tf = slow["tracer"], fast["tracer"]
-    np.testing.assert_array_equal(ts.bytes_matrix, tf.bytes_matrix)
-    np.testing.assert_array_equal(ts.count_matrix, tf.count_matrix)
-    assert sorted(ts.kind_matrices) == sorted(tf.kind_matrices)
-    for kind, mat in ts.kind_matrices.items():
-        np.testing.assert_array_equal(mat, tf.kind_matrices[kind])
-    assert ts.total_messages == tf.total_messages
-    assert ts.total_bytes == tf.total_bytes
-    assert slow["fast_runs"] == 0
-    if expect_fast and size > 1:
-        assert fast["fast_runs"] > 0, "fast path never engaged"
-    return slow, fast
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -100,7 +38,7 @@ class TestCollectiveEquivalence:
             got = yield from ctx.comm.bcast(obj, root=root)
             return got
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
     def test_reduce_nonzero_root(self, size):
         root = size // 2
@@ -110,28 +48,28 @@ class TestCollectiveEquivalence:
             value = np.full(4, ctx.rank + 1, dtype=np.float64)
             return (yield from ctx.comm.reduce(value, sum_op, root=root))
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
     def test_allreduce(self, size):
         def program(ctx):
             ctx.advance(0.0005 * ctx.rank)
             return (yield from ctx.comm.allreduce(float(ctx.rank), max_op))
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
     def test_allgather(self, size):
         def program(ctx):
             ctx.advance(0.001 * (size - ctx.rank))
             return (yield from ctx.comm.allgather((ctx.rank, ctx.rank * 2)))
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
     def test_allgather_array_payloads(self, size):
         def program(ctx):
             block = np.arange(ctx.rank + 1, dtype=np.int64)
             return (yield from ctx.comm.allgather(block))
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
     def test_alltoall(self, size):
         def program(ctx):
@@ -141,7 +79,7 @@ class TestCollectiveEquivalence:
             ]
             return (yield from ctx.comm.alltoall(values))
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
     def test_barrier_then_clock_sensitive_send(self, size):
         def program(ctx):
@@ -155,7 +93,7 @@ class TestCollectiveEquivalence:
             yield from ctx.comm.recv(source=src, tag=1)
             return ctx.now
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
     def test_back_to_back_collectives(self, size):
         def program(ctx):
@@ -164,7 +102,7 @@ class TestCollectiveEquivalence:
             top = yield from ctx.comm.reduce(max(everyone), max_op, root=0)
             return (yield from ctx.comm.bcast(top, root=0))
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
 
 class TestMixedPrograms:
@@ -184,7 +122,7 @@ class TestMixedPrograms:
             total = yield from comm.allreduce(other)
             return (ids, row_sum, total, ctx.now)
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
     def test_world_sized_split_fast_paths_as_its_own_group(self):
         """A split covering all ranks yields a non-world comm id; its group
@@ -197,9 +135,9 @@ class TestMixedPrograms:
             assert clone.comm_id != 0
             return (yield from clone.allreduce(ctx.rank))
 
-        slow, fast = assert_equivalent(program, size)
+        _, fast = assert_collectives_match(program, size)
         # The split's world allgather plus the clone's allreduce.
-        assert fast["fast_runs"] == 2
+        assert fast["engine"].fast_collectives_run == 2
 
     def test_fig5_world(self):
         """The §V world's per-message programs: halo p2p, wildcard
@@ -210,7 +148,7 @@ class TestMixedPrograms:
         workload.sim_cfg = with_mode(
             workload.sim_cfg, ExecutionMode.PER_MESSAGE
         )
-        assert_equivalent(workload.build_programs(), workload.nranks)
+        assert_collectives_match(workload.build_programs(), workload.nranks)
 
 
 class TestFailureInjection:
@@ -220,12 +158,8 @@ class TestFailureInjection:
         def program(ctx):
             return (yield from ctx.comm.bcast("payload", root=0))
 
-        for fast in (False, True):
-            engine = Engine(
-                size,
-                network=two_level_network(),
-                config=EngineConfig(use_fast_collectives=fast),
-            )
+        for engine_cls in (ReferenceEngine, Engine):
+            engine = engine_cls(size, network=two_level_network())
             engine.failure_ranks.add(0)
             with pytest.raises(DeadlockError):
                 engine.run(program)
@@ -244,12 +178,8 @@ class TestFailureInjection:
             return (yield from ctx.comm.allreduce(ctx.rank))
 
         outcomes = []
-        for fast in (False, True):
-            engine = Engine(
-                size,
-                network=two_level_network(),
-                config=EngineConfig(use_fast_collectives=fast),
-            )
+        for engine_cls in (ReferenceEngine, Engine):
+            engine = engine_cls(size, network=two_level_network())
             engine.failure_ranks.add(1)
             try:
                 engine.run(program)
@@ -270,8 +200,8 @@ class TestFailureInjection:
             got = yield from ctx.comm.recv(source=1 - ctx.rank, tag=0)
             return got
 
-        for fast in (False, True):
-            engine = Engine(size, config=EngineConfig(use_fast_collectives=fast))
+        for engine_cls in (ReferenceEngine, Engine):
+            engine = engine_cls(size)
             results = engine.run(program)
             assert results == ["x", "x", "bystander"]
 
@@ -299,8 +229,7 @@ class TestEligibilityGates:
         assert log.records, "cascade messages must reach the payload log"
 
     def test_recv_count_tracking_forces_cascade(self):
-        engine = Engine(4)
-        engine.track_recv_counts = True
+        engine = Engine(4, config=EngineConfig(track_recv_counts=True))
         assert engine.run(self._collective_program) == [4] * 4
         assert engine.fast_collectives_run == 0
         assert sum(engine.recv_counts.values()) > 0

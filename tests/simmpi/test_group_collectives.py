@@ -4,10 +4,10 @@ Extends the world-communicator suite (``test_fast_collectives``): every
 program here runs its collectives on sub-communicators produced by
 ``comm.split`` — uneven group sizes, non-power-of-two groups, non-zero
 roots, nested splits, concurrent sibling groups — and must be
-indistinguishable from the generator cascade: same results, bit-identical
-per-rank virtual clocks, byte-identical trace matrices. Deadlocks that
-involve a partially-gathered group collective must be attributed to the
-stuck group and its missing members.
+indistinguishable from ``ReferenceEngine``'s generator cascade: same
+results, bit-identical per-rank virtual clocks, byte-identical trace
+matrices. Deadlocks that involve a partially-gathered group collective
+must be attributed to the stuck group and its missing members.
 """
 
 import numpy as np
@@ -16,8 +16,7 @@ import pytest
 from repro.simmpi import DeadlockError, Engine
 from repro.simmpi.collectives import max_op, sum_op
 
-from networks import two_level_network  # same-directory module (pytest path mode)
-from test_fast_collectives import assert_equivalent
+from networks import assert_collectives_match, two_level_network
 
 SIZES = [4, 6, 8, 12, 16]
 
@@ -35,8 +34,9 @@ class TestSplitCollectiveEquivalence:
                 total = yield from row.allreduce(float(ctx.rank) + total)
             return (row.comm_id, row.rank, total, ctx.now)
 
-        slow, fast = assert_equivalent(program, size)
-        assert fast["fast_runs"] > 1  # the split allgather plus group ops
+        _, fast = assert_collectives_match(program, size)
+        # The split allgather plus the group ops.
+        assert fast["engine"].fast_collectives_run > 1
 
     def test_split_bcast_and_reduce_nonzero_root(self, size):
         def program(ctx):
@@ -47,7 +47,7 @@ class TestSplitCollectiveEquivalence:
             top = yield from half.reduce(float(got.sum()), max_op, root=root)
             return (got.tolist(), top, ctx.now)
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
     def test_split_allgather_alltoall_barrier(self, size):
         def program(ctx):
@@ -59,7 +59,7 @@ class TestSplitCollectiveEquivalence:
             yield from grp.barrier()
             return (ids, swapped, ctx.now)
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
     def test_nested_split(self, size):
         """Splits of splits: grand-child groups fast-path too."""
@@ -71,7 +71,7 @@ class TestSplitCollectiveEquivalence:
             b = yield from quarter.allreduce(ctx.rank + 1, max_op)
             return (a, b, ctx.now)
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
     def test_sibling_groups_price_over_their_own_slice(self, size):
         """Group messages must use the members' *world* ranks against the
@@ -85,7 +85,7 @@ class TestSplitCollectiveEquivalence:
             total = yield from grp.allreduce(value, sum_op)
             return (float(total[0]), ctx.now)
 
-        assert_equivalent(program, size)
+        assert_collectives_match(program, size)
 
 
 class TestPartialMembership:
@@ -100,7 +100,7 @@ class TestPartialMembership:
             total = yield from sub.allreduce(ctx.rank)
             return (total, sub.size, ctx.now)
 
-        slow, fast = assert_equivalent(program, size)
+        _, fast = assert_collectives_match(program, size)
         results = fast["results"]
         assert results[5][0] == "outside"
         assert results[0][0] == 0 + 1 + 2 + 3 and results[0][1] == 4
@@ -114,7 +114,7 @@ class TestPartialMembership:
             yield from solo.barrier()
             return got
 
-        slow, fast = assert_equivalent(program, size, expect_fast=False)
+        _, fast = assert_collectives_match(program, size)
         assert fast["results"] == [0, 10, 20]
 
 

@@ -1,8 +1,8 @@
 """Seeded schedule-interleaving exploration: legality, replay, equivalence.
 
-``EngineConfig(schedule_seed=...)`` permutes each scheduler batch among
-its causally-unordered ranks; ``EngineConfig(schedule_trace=...)`` replays
-a recorded permutation stream exactly. This suite pins the contract from
+``EngineConfig(schedule=seed)`` permutes each scheduler batch among its
+causally-unordered ranks; ``EngineConfig(schedule=trace)`` replays a
+recorded permutation stream exactly. This suite pins the contract from
 every side: the default path is byte-for-byte the canonical drain, every
 explored schedule is MPI-legal (wildcard-free programs stay bit-identical
 to canonical; wildcard programs may legally re-arbitrate or deadlock),
@@ -21,12 +21,12 @@ from repro.simmpi import (
     ScheduleTrace,
 )
 
-from networks import two_level_network  # same-directory module
-from test_kernel_loops import (
-    assert_records_equal,
+from networks import (
+    assert_runs_equal,
     interpreted_ring_program,
     kernel_ring_program,
     run_engine,
+    two_level_network,
 )
 
 
@@ -46,10 +46,10 @@ def order_probe(order):
     return program
 
 
-def run_probe(size, **config_fields):
+def run_probe(size, schedule=None):
     order = []
     engine = Engine(
-        size, network=two_level_network(), config=EngineConfig(**config_fields)
+        size, network=two_level_network(), config=EngineConfig(schedule=schedule)
     )
     results = engine.run(order_probe(order))
     return order, results, engine
@@ -102,16 +102,16 @@ class TestCanonicalPathPinned:
         assert engine.schedule_trace is None
 
     def test_schedule_seed_none_is_byte_identical(self):
-        """``schedule_seed=None`` IS the canonical engine — same drain
+        """``schedule=None`` IS the canonical engine — same drain
         transcript, results, clocks and traces as an engine that never
         heard of scheduling seeds."""
         ref = run_engine(interpreted_ring_program(5), 6)
         explicit = run_engine(
-            interpreted_ring_program(5), 6, schedule_seed=None
+            interpreted_ring_program(5), 6, config=EngineConfig(schedule=None)
         )
-        assert_records_equal(ref, explicit, "schedule_seed=None")
+        assert_runs_equal(ref, explicit, "schedule=None")
         order_ref, _, _ = run_probe(5)
-        order_none, _, engine = run_probe(5, schedule_seed=None)
+        order_none, _, engine = run_probe(5, schedule=None)
         assert order_none == order_ref
         assert engine.schedule_trace is None
 
@@ -119,21 +119,21 @@ class TestCanonicalPathPinned:
 class TestSeededExploration:
     def test_seed_permutes_and_records(self):
         order_ref, _, _ = run_probe(6)
-        order, results, engine = run_probe(6, schedule_seed=1)
+        order, results, engine = run_probe(6, 1)
         assert results == list(range(6))  # same results, different route
         assert engine.schedule_trace is not None
         assert engine.schedule_trace.n_permuted > 0
         assert order != order_ref
 
     def test_same_seed_same_schedule(self):
-        order_a, _, engine_a = run_probe(6, schedule_seed=7)
-        order_b, _, engine_b = run_probe(6, schedule_seed=7)
+        order_a, _, engine_a = run_probe(6, 7)
+        order_b, _, engine_b = run_probe(6, 7)
         assert order_a == order_b
         assert engine_a.schedule_trace == engine_b.schedule_trace
 
     def test_different_seeds_differ(self):
         traces = {
-            run_probe(6, schedule_seed=seed)[2].schedule_trace
+            run_probe(6, seed)[2].schedule_trace
             for seed in range(8)
         }
         assert len(traces) > 1
@@ -141,12 +141,10 @@ class TestSeededExploration:
     def test_replay_from_trace_is_exact(self):
         """A recorded trace replays the identical schedule with no RNG:
         same drain transcript, and the replay re-records the same trace."""
-        order_seeded, _, engine = run_probe(6, schedule_seed=3)
+        order_seeded, _, engine = run_probe(6, 3)
         trace = engine.schedule_trace
         assert trace.n_permuted > 0
-        order_replay, results, replay_engine = run_probe(
-            6, schedule_trace=trace
-        )
+        order_replay, results, replay_engine = run_probe(6, trace)
         assert order_replay == order_seeded
         assert results == list(range(6))
         assert replay_engine.schedule_trace == trace
@@ -154,11 +152,11 @@ class TestSeededExploration:
     def test_dropped_trace_entry_is_still_legal(self):
         """The shrinker's move — reverting one batch to canonical order —
         must always yield a runnable, legal schedule."""
-        _, _, engine = run_probe(6, schedule_seed=3)
+        _, _, engine = run_probe(6, 3)
         trace = engine.schedule_trace
         first_ordinal = trace.entries[0][0]
         shrunk = trace.without_ordinal(first_ordinal)
-        _, results, replay_engine = run_probe(6, schedule_trace=shrunk)
+        _, results, replay_engine = run_probe(6, shrunk)
         assert results == list(range(6))
         # Only the surviving entries are applied (and some may now be
         # skipped by length mismatch); whatever applied is a subset.
@@ -172,9 +170,9 @@ class TestSeededExploration:
         rev = run_engine(
             interpreted_ring_program(5),
             6,
-            schedule_trace=full_reversal_trace(6),
+            config=EngineConfig(schedule=full_reversal_trace(6)),
         )
-        assert_records_equal(ref, rev, "full reversal")
+        assert_runs_equal(ref, rev, "full reversal")
         assert rev["engine"].schedule_trace.n_permuted > 0
 
 
@@ -197,17 +195,17 @@ class TestDeterministicProgramEquivalence:
             return (total, peak)
 
         ref = run_engine(program, 9)
-        got = run_engine(program, 9, schedule_seed=seed)
-        assert_records_equal(ref, got, f"split collectives seed {seed}")
+        got = run_engine(program, 9, config=EngineConfig(schedule=seed))
+        assert_runs_equal(ref, got, f"split collectives seed {seed}")
         assert got["engine"].schedule_trace.n_permuted > 0
 
     @pytest.mark.parametrize("seed", [1, 4, 11])
     def test_persistent_waves_equivalent(self, seed):
         ref = run_engine(interpreted_ring_program(6), 6)
         got = run_engine(
-            interpreted_ring_program(6), 6, schedule_seed=seed
+            interpreted_ring_program(6), 6, config=EngineConfig(schedule=seed)
         )
-        assert_records_equal(ref, got, f"wave seed {seed}")
+        assert_runs_equal(ref, got, f"wave seed {seed}")
 
     def test_wave_rearm_pool_state_matches_canonical(self):
         """Permuted drains hand out pool slots in a different order, but
@@ -216,11 +214,12 @@ class TestDeterministicProgramEquivalence:
         range back on the free list — slot for slot."""
         ref = run_engine(interpreted_ring_program(6), 6)
         ref_pool = ref["engine"].pool
-        for trace_or_seed in (
-            {"schedule_seed": 5},
-            {"schedule_trace": full_reversal_trace(6)},
-        ):
-            got = run_engine(interpreted_ring_program(6), 6, **trace_or_seed)
+        for schedule in (5, full_reversal_trace(6)):
+            got = run_engine(
+                interpreted_ring_program(6),
+                6,
+                config=EngineConfig(schedule=schedule),
+            )
             pool = got["engine"].pool
             assert pool.capacity == ref_pool.capacity
             assert pool.live_slots == 0 == ref_pool.live_slots
@@ -233,12 +232,14 @@ class TestKernelGating:
         """Kernelization assumes the canonical schedule; an exploring
         engine must run the interpreted expansion and say why."""
         ref = run_engine(interpreted_ring_program(5), 4)
-        kern = run_engine(kernel_ring_program(5), 4, schedule_seed=2)
+        kern = run_engine(
+            kernel_ring_program(5), 4, config=EngineConfig(schedule=2)
+        )
         assert kern["engine"].kernel_runs == 0
         assert kern["engine"].kernel_deopts.get("non-canonical-schedule") == 4
         # Deopted-but-permuted still matches canonical bit for bit
         # (the ring wave has no wildcards).
-        assert_records_equal(ref, kern, "kernel deopt under exploration")
+        assert_runs_equal(ref, kern, "kernel deopt under exploration")
 
     def test_kernel_fast_path_restored_without_seed(self):
         kern = run_engine(kernel_ring_program(5), 4)
@@ -263,7 +264,7 @@ def race_program(ctx):
 def find_deadlock_seed(limit=64):
     for seed in range(limit):
         engine = Engine(
-            3, network=two_level_network(), config=EngineConfig(schedule_seed=seed)
+            3, network=two_level_network(), config=EngineConfig(schedule=seed)
         )
         try:
             engine.run(race_program)
@@ -288,7 +289,7 @@ class TestWildcardRace:
         seed, trace, err = find_deadlock_seed()
         # Replay from the seed alone.
         engine = Engine(
-            3, network=two_level_network(), config=EngineConfig(schedule_seed=seed)
+            3, network=two_level_network(), config=EngineConfig(schedule=seed)
         )
         with pytest.raises(DeadlockError) as seed_err:
             engine.run(race_program)
@@ -296,7 +297,7 @@ class TestWildcardRace:
         assert engine.schedule_trace == trace
         # Replay from the recorded trace alone (what repro files carry).
         replay = Engine(
-            3, network=two_level_network(), config=EngineConfig(schedule_trace=trace)
+            3, network=two_level_network(), config=EngineConfig(schedule=trace)
         )
         with pytest.raises(DeadlockError) as trace_err:
             replay.run(race_program)
@@ -337,7 +338,7 @@ class TestWildcardStampArbitration:
         though rank 1 is the lower-numbered sender channel."""
         trace = ScheduleTrace(((0, (3, 2, 1, 0)),))
         engine = Engine(
-            4, network=two_level_network(), config=EngineConfig(schedule_trace=trace)
+            4, network=two_level_network(), config=EngineConfig(schedule=trace)
         )
         results = engine.run(self._stamp_program)
         assert results[0] == ("gate", 2, "from2", "from1")

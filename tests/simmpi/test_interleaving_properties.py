@@ -108,7 +108,7 @@ def test_seeded_interleavings_stay_legal(schedule, mode_per_rank, seed):
     outgoing, inbox = _traffic(schedule)
     plans = {r: _recv_plan(inbox[r], mode_per_rank[r]) for r in range(NRANKS)}
     results = run_program(
-        _make_program(outgoing, plans), NRANKS, config=EngineConfig(schedule_seed=seed)
+        _make_program(outgoing, plans), NRANKS, config=EngineConfig(schedule=seed)
     )
     _assert_delivery(results, inbox, f"seed {seed}")
 
@@ -122,7 +122,7 @@ def test_wildcard_free_programs_are_schedule_deterministic(schedule, seed):
     plans = {r: _recv_plan(inbox[r], "exact") for r in range(NRANKS)}
     canonical = run_program(_make_program(outgoing, plans), NRANKS)
     explored = run_program(
-        _make_program(outgoing, plans), NRANKS, config=EngineConfig(schedule_seed=seed)
+        _make_program(outgoing, plans), NRANKS, config=EngineConfig(schedule=seed)
     )
     assert explored == canonical
 
@@ -143,7 +143,7 @@ def test_starvable_plans_deadlock_cleanly_and_replay(schedule, seed):
             (src, tag) for src, tag, _ in box[half:]
         ]
     program = _make_program(outgoing, plans)
-    engine = Engine(NRANKS, config=EngineConfig(schedule_seed=seed))
+    engine = Engine(NRANKS, config=EngineConfig(schedule=seed))
     try:
         results = engine.run(program)
     except DeadlockError as err:
@@ -155,7 +155,7 @@ def test_starvable_plans_deadlock_cleanly_and_replay(schedule, seed):
             )
         trace = engine.schedule_trace
         assert trace is not None
-        replay = Engine(NRANKS, config=EngineConfig(schedule_trace=trace))
+        replay = Engine(NRANKS, config=EngineConfig(schedule=trace))
         try:
             replay.run(program)
             raise AssertionError("trace replay did not reproduce the deadlock")

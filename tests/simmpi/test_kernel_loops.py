@@ -17,95 +17,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simmpi import ANY_SOURCE, Engine, EngineConfig, KernelLoop, TraceRecorder
+from repro.simmpi import ANY_SOURCE, Engine, KernelLoop, ReferenceEngine, TraceRecorder
 from repro.simmpi.collectives import max_op, sum_op
 from repro.simmpi.errors import MatchingError
 
-from networks import two_level_network  # same-directory module
-
-RING_TAG = 7
-RING_BYTES = 1 << 14
-
-
-def _ring_ops(comm, members=None):
-    """Persistent ring wave: send right, receive from the left — over the
-    whole communicator, or over the ring of ``members`` (ranks of it)."""
-    if members is None:
-        members = range(comm.size)
-    at = members.index(comm.rank)
-    right = members[(at + 1) % len(members)]
-    left = members[(at - 1) % len(members)]
-    send = comm.send_init(
-        None, dest=right, tag=RING_TAG, nbytes=RING_BYTES, kind="ring"
-    )
-    recv = comm.recv_init(source=left, tag=RING_TAG)
-    start = comm.start_all_op((send, recv))
-    drain = comm.waitall_op((recv,))
-    return start, drain
-
-
-def kernel_ring_program(iterations):
-    def program(ctx):
-        start, drain = _ring_ops(ctx.comm)
-        results = yield KernelLoop(start, drain, iterations)
-        return results
-
-    return program
-
-
-def interpreted_ring_program(iterations):
-    def program(ctx):
-        start, drain = _ring_ops(ctx.comm)
-        results = None
-        for _ in range(iterations):
-            yield start
-            results = yield drain
-        return results
-
-    return program
-
-
-def run_engine(program, size, **config_fields):
-    tracer = TraceRecorder(size, by_kind=True)
-    engine = Engine(
-        size,
-        network=two_level_network(),
-        tracer=tracer,
-        config=EngineConfig(**config_fields),
-    )
-    results = engine.run(program)
-    return {
-        "results": results,
-        "clocks": engine.rank_times(),
-        "tracer": tracer,
-        "engine": engine,
-    }
-
-
-def assert_records_equal(ref, other, what):
-    assert ref["results"] == other["results"], f"{what}: results diverge"
-    assert ref["clocks"] == other["clocks"], f"{what}: clocks diverge"
-    np.testing.assert_array_equal(
-        ref["tracer"].bytes_matrix, other["tracer"].bytes_matrix
-    )
-    np.testing.assert_array_equal(
-        ref["tracer"].count_matrix, other["tracer"].count_matrix
-    )
-    assert sorted(ref["tracer"].kind_matrices) == sorted(
-        other["tracer"].kind_matrices
-    )
-    for kind, mat in ref["tracer"].kind_matrices.items():
-        np.testing.assert_array_equal(mat, other["tracer"].kind_matrices[kind])
-
-
-def run_both(program, size):
-    """The program under the kernel tier and under its ``use_kernels=False``
-    reference, asserted indistinguishable."""
-    ref = run_engine(program, size, use_kernels=False)
-    kern = run_engine(program, size)
-    assert_records_equal(ref, kern, "kernel tier vs use_kernels=False")
-    assert ref["engine"].kernel_runs == 0
-    return kern
+from networks import (
+    RING_TAG,
+    assert_matches_reference,
+    assert_runs_equal,
+    interpreted_ring_program,
+    kernel_ring_program,
+    ring_ops,
+    run_engine,
+    two_level_network,
+)
 
 
 class TestKernelEquivalence:
@@ -113,18 +38,18 @@ class TestKernelEquivalence:
     def test_matches_interpreted_loop(self, size, iterations):
         ref = run_engine(interpreted_ring_program(iterations), size)
         kern = run_engine(kernel_ring_program(iterations), size)
-        assert_records_equal(ref, kern, "kernel vs hand-written loop")
+        assert_runs_equal(ref, kern, "kernel vs hand-written loop")
         assert kern["engine"].kernel_runs == 1
         assert kern["engine"].kernel_iterations == iterations
         assert kern["engine"].kernel_deopts == {}
 
     def test_interpreted_kernel_op_matches_too(self, size=4, iterations=6):
-        """``use_kernels=False`` still executes the op — via micro-steps."""
+        """``ReferenceEngine`` still executes the op — via micro-steps."""
         ref = run_engine(interpreted_ring_program(iterations), size)
         micro = run_engine(
-            kernel_ring_program(iterations), size, use_kernels=False
+            kernel_ring_program(iterations), size, engine_cls=ReferenceEngine
         )
-        assert_records_equal(ref, micro, "micro-step kernel op vs loop")
+        assert_runs_equal(ref, micro, "micro-step kernel op vs loop")
         assert micro["engine"].kernel_runs == 0
         assert micro["engine"].kernel_deopts.get("engine-gated") == size
 
@@ -133,13 +58,13 @@ class TestKernelEquivalence:
         kernel cache: one compilation, one run per chunk."""
 
         def program(ctx):
-            start, drain = _ring_ops(ctx.comm)
+            start, drain = ring_ops(ctx.comm)
             for chunk in (3, 4):
                 yield KernelLoop(start, drain, chunk)
             return "ok"
 
         def interpreted(ctx):
-            start, drain = _ring_ops(ctx.comm)
+            start, drain = ring_ops(ctx.comm)
             for _ in range(7):
                 yield start
                 yield drain
@@ -147,7 +72,7 @@ class TestKernelEquivalence:
 
         ref = run_engine(interpreted, 4)
         kern = run_engine(program, 4)
-        assert_records_equal(ref, kern, "chunked kernels vs loop")
+        assert_runs_equal(ref, kern, "chunked kernels vs loop")
         assert kern["engine"].kernel_runs == 2
         assert kern["engine"].kernel_iterations == 7
 
@@ -157,7 +82,7 @@ class TestKernelEquivalence:
 
         def kernelized(ctx):
             comm = ctx.comm
-            start, drain = _ring_ops(comm)
+            start, drain = ring_ops(comm)
             _, window = yield KernelLoop(
                 start, drain, 4, (comm.allreduce_op(float(ctx.rank), sum_op),)
             )
@@ -165,7 +90,7 @@ class TestKernelEquivalence:
 
         def interpreted(ctx):
             comm = ctx.comm
-            start, drain = _ring_ops(comm)
+            start, drain = ring_ops(comm)
             for _ in range(4):
                 yield start
                 yield drain
@@ -174,7 +99,7 @@ class TestKernelEquivalence:
 
         ref = run_engine(interpreted, 4)
         kern = run_engine(kernelized, 4)
-        assert_records_equal(ref, kern, "fused window vs trailing allreduce")
+        assert_runs_equal(ref, kern, "fused window vs trailing allreduce")
         assert kern["results"] == [6.0] * 4
         assert kern["engine"].kernel_runs == 1
 
@@ -183,7 +108,7 @@ class TestKernelEquivalence:
 
         def kernelized(ctx):
             comm = ctx.comm
-            start, drain = _ring_ops(comm)
+            start, drain = ring_ops(comm)
             _, window = yield KernelLoop(
                 start,
                 drain,
@@ -197,7 +122,7 @@ class TestKernelEquivalence:
 
         def interpreted(ctx):
             comm = ctx.comm
-            start, drain = _ring_ops(comm)
+            start, drain = ring_ops(comm)
             for _ in range(3):
                 yield start
                 yield drain
@@ -207,7 +132,7 @@ class TestKernelEquivalence:
 
         ref = run_engine(interpreted, 4)
         kern = run_engine(kernelized, 4)
-        assert_records_equal(ref, kern, "two-collective window")
+        assert_runs_equal(ref, kern, "two-collective window")
         assert kern["results"] == [[6.0, 3.0]] * 4
 
     def test_results_are_final_iteration_payloads(self):
@@ -216,7 +141,7 @@ class TestKernelEquivalence:
 
         def program(ctx):
             comm = ctx.comm
-            start, drain = _ring_ops(comm)
+            start, drain = ring_ops(comm)
             results = yield KernelLoop(start, drain, 3)
             return results
 
@@ -239,14 +164,9 @@ class TestKernelDeopts:
             def record(self, src, dst, tag, payload, nbytes, kind):
                 self.entries.append((src, dst, tag, nbytes, kind))
 
-        def with_log(use_kernels):
+        def with_log(engine_cls):
             tracer = TraceRecorder(4, by_kind=True)
-            engine = Engine(
-                4,
-                network=two_level_network(),
-                tracer=tracer,
-                config=EngineConfig(use_kernels=use_kernels),
-            )
+            engine = engine_cls(4, network=two_level_network(), tracer=tracer)
             engine.message_log = Log()
             results = engine.run(kernel_ring_program(iterations))
             return {
@@ -256,9 +176,9 @@ class TestKernelDeopts:
                 "engine": engine,
             }
 
-        gated = with_log(True)
-        micro = with_log(False)
-        assert_records_equal(micro, gated, "message_log gating")
+        gated = with_log(Engine)
+        micro = with_log(ReferenceEngine)
+        assert_runs_equal(micro, gated, "message_log gating")
         assert gated["engine"].kernel_runs == 0
         assert gated["engine"].kernel_deopts.get("engine-gated") == 4
         assert (
@@ -273,7 +193,7 @@ class TestKernelDeopts:
 
         def mixed(kernel_half):
             def program(ctx):
-                start, drain = _ring_ops(ctx.comm)
+                start, drain = ring_ops(ctx.comm)
                 if kernel_half and ctx.rank % 2 == 0:
                     yield KernelLoop(start, drain, iterations)
                 else:
@@ -286,7 +206,7 @@ class TestKernelDeopts:
 
         ref = run_engine(mixed(False), 4)
         kern = run_engine(mixed(True), 4)
-        assert_records_equal(ref, kern, "partial world")
+        assert_runs_equal(ref, kern, "partial world")
         assert kern["engine"].kernel_runs == 0
         assert kern["engine"].kernel_deopts == {"external-destination": 1}
 
@@ -316,7 +236,7 @@ class TestKernelDeopts:
 
         ref = run_engine(self_program(False), 3)
         kern = run_engine(self_program(True), 3)
-        assert_records_equal(ref, kern, "iteration mismatch")
+        assert_runs_equal(ref, kern, "iteration mismatch")
         assert kern["engine"].kernel_runs == 0
         assert kern["engine"].kernel_deopts.get("iteration-mismatch") == 1
 
@@ -343,7 +263,7 @@ class TestKernelDeopts:
 
         ref = run_engine(wild(False), 4)
         kern = run_engine(wild(True), 4)
-        assert_records_equal(ref, kern, "wildcard recv")
+        assert_runs_equal(ref, kern, "wildcard recv")
         assert kern["engine"].kernel_runs == 0
         assert kern["engine"].kernel_deopts.get("wildcard-recv") == 1
 
@@ -387,7 +307,7 @@ class TestKernelDeopts:
 
         ref = run_engine(captured(False), 4)
         kern = run_engine(captured(True), 4)
-        assert_records_equal(ref, kern, "capture send")
+        assert_runs_equal(ref, kern, "capture send")
         assert kern["results"] == [[3.0], [0.0], [1.0], [2.0]]
         assert kern["engine"].kernel_runs == 0
         assert kern["engine"].kernel_deopts.get("capture-send") == 1
@@ -453,16 +373,30 @@ def sub_world_program(members, iterations, bystander, *, window=True, tail=None)
         ctx.advance(1e-6 * ctx.rank)  # skewed clocks: the folds must matter
         if not inside:
             return (yield from bystander(ctx))
-        start, drain = _ring_ops(comm, members)
+        start, drain = ring_ops(comm, members)
         if window:
-            colls = (sub.allreduce_op(float(ctx.rank), sum_op),)
-            _, reduced = yield KernelLoop(start, drain, iterations, colls)
+            reduced = yield from loop_then_allreduce(
+                sub, start, drain, iterations, float(ctx.rank)
+            )
         else:
             reduced = yield KernelLoop(start, drain, iterations)
         after = None if tail is None else (yield from tail(ctx))
         return reduced, after
 
     return program
+
+
+def loop_then_allreduce(comm, start, drain, iterations, value):
+    """A KernelLoop followed by an allreduce on ``comm``: fused into the
+    loop's collective window where the engine takes fast collectives, a
+    plain allreduce after the loop on the cascade (the same tags, traces
+    and clocks either way, as the apps do)."""
+    if comm.collective_windows_ok():
+        colls = (comm.allreduce_op(value, sum_op),)
+        _, window = yield KernelLoop(start, drain, iterations, colls)
+        return window[0]
+    yield KernelLoop(start, drain, iterations)
+    return (yield from comm.allreduce(value, sum_op))
 
 
 class TestClosedSubWorld:
@@ -480,7 +414,9 @@ class TestClosedSubWorld:
         def tail(ctx):
             yield from report_done_in_ring_order(ctx.comm, members, [2])
 
-        kern = run_both(sub_world_program(members, 6, bystander, tail=tail), 5)
+        _, kern = assert_matches_reference(
+            sub_world_program(members, 6, bystander, tail=tail), 5
+        )
         assert kern["results"][2] == members
         engine = kern["engine"]
         assert engine.kernel_runs == 1
@@ -508,9 +444,10 @@ class TestClosedSubWorld:
                 second = yield from comm.recv(source=ANY_SOURCE, tag=PONG_TAG)
                 return [first, second]
 
-        engine = run_both(
+        _, kern = assert_matches_reference(
             sub_world_program(members, 5, bystander, window=False, tail=tail), 5
-        )["engine"]
+        )
+        engine = kern["engine"]
         assert engine.kernel_runs == 1
         assert engine.kernel_iterations == 5
         assert engine.kernel_deopts == {}
@@ -525,13 +462,12 @@ class TestClosedSubWorld:
             comm = ctx.comm
             if ctx.rank not in members:
                 return (yield from comm.allreduce(float(ctx.rank), sum_op))
-            start, drain = _ring_ops(comm, members)
-            _, window = yield KernelLoop(
-                start, drain, 4, (comm.allreduce_op(float(ctx.rank), sum_op),)
+            start, drain = ring_ops(comm, members)
+            return (
+                yield from loop_then_allreduce(comm, start, drain, 4, float(ctx.rank))
             )
-            return window[0]
 
-        kern = run_both(program, 4)
+        _, kern = assert_matches_reference(program, 4)
         assert kern["results"] == [6.0] * 4
         assert kern["engine"].kernel_runs == 0
         assert kern["engine"].kernel_deopts == {"window-mismatch": 1}
@@ -553,9 +489,10 @@ class TestClosedSubWorld:
                 yield from comm.send(stray + "!", dest=3, tag=PONG_TAG)
                 return stray
 
-        engine = run_both(
+        _, kern = assert_matches_reference(
             sub_world_program(members, 3, bystander, tail=tail), 4
-        )["engine"]
+        )
+        engine = kern["engine"]
         assert engine.kernel_runs == 0
         assert engine.kernel_deopts == {"mailbox-busy": 1}
 
@@ -615,12 +552,13 @@ class TestClosedSubWorld:
                 )
             return pongs
 
-        engine = run_both(
+        _, kern = assert_matches_reference(
             sub_world_program(
                 members, iterations, bystander, window=window, tail=tail
             ),
             size,
-        )["engine"]
+        )
+        engine = kern["engine"]
         assert engine.kernel_runs == 1
         assert engine.kernel_iterations == iterations
         assert engine.kernel_deopts == {}
@@ -629,7 +567,7 @@ class TestClosedSubWorld:
 class TestKernelValidation:
     def test_zero_iterations_rejected(self):
         def program(ctx):
-            start, drain = _ring_ops(ctx.comm)
+            start, drain = ring_ops(ctx.comm)
             yield KernelLoop(start, drain, 0)
 
         with pytest.raises(MatchingError):
@@ -637,7 +575,7 @@ class TestKernelValidation:
 
     def test_wrong_op_types_rejected(self):
         def program(ctx):
-            start, drain = _ring_ops(ctx.comm)
+            start, drain = ring_ops(ctx.comm)
             yield KernelLoop(drain, start, 2)
 
         with pytest.raises(MatchingError):

@@ -18,6 +18,7 @@ from repro.simmpi import (
     Engine,
     EngineConfig,
     MessagePool,
+    ReferenceEngine,
     TraceRecorder,
 )
 from repro.simmpi.errors import MatchingError
@@ -218,14 +219,10 @@ class TestFailureInjection:
 
     def test_failed_sender_vs_cascade_reference(self):
         """Failure injection sees identical message flow on the pool engine
-        whether or not batched pricing is active."""
+        and on ``ReferenceEngine``'s per-send scalar pricing."""
         outcomes = []
-        for batched in (False, True):
-            engine = Engine(
-                4,
-                network=two_level_network(),
-                config=EngineConfig(use_batched_p2p=batched),
-            )
+        for engine_cls in (ReferenceEngine, Engine):
+            engine = engine_cls(4, network=two_level_network())
             engine.failure_ranks.add(1)
 
             def program(ctx):

@@ -24,6 +24,7 @@ from repro.simmpi import (
     DeadlockError,
     Engine,
     EngineConfig,
+    ReferenceEngine,
     ShardedEngine,
     TraceRecorder,
     partition_workload,
@@ -308,7 +309,7 @@ class TestDeadlocks:
 class TestValidation:
     def test_interleaving_exploration_rejected(self):
         with pytest.raises(ValueError, match="single-process only"):
-            ShardedEngine(2, config=EngineConfig(schedule_seed=7))
+            ShardedEngine(2, config=EngineConfig(schedule=7))
 
     def test_non_workload_rejected(self):
         engine = ShardedEngine(1)
@@ -343,17 +344,26 @@ class TestValidation:
 
 class TestConfigReplication:
     def test_per_message_config_is_replicated_to_shards(self):
-        """A non-default EngineConfig reaches every shard engine."""
-        workload = _heat_workload(iterations=4)
-        config = EngineConfig(
-            use_batched_p2p=False, use_kernels=False, pool_capacity=8
+        """A non-default EngineConfig reaches every shard engine: receive
+        counting keeps every shard's collectives on the cascade and its
+        kernels interpreted, exactly like the single-process reference."""
+        workload = TsunamiWorkload(
+            TsunamiConfig(px=2, py=4, nx=16, ny=32, iterations=4, allreduce_every=2)
         )
+        config = EngineConfig(pool_capacity=8, track_recv_counts=True)
         ref_tracer = TraceRecorder(workload.nranks, by_kind=True)
-        Engine(workload.nranks, config=config, tracer=ref_tracer).run(
-            workload.build_programs()
+        reference = ReferenceEngine(
+            workload.nranks,
+            config=config,
+            network=two_level_network(),
+            tracer=ref_tracer,
         )
+        reference.run(workload.build_programs())
         tracer = TraceRecorder(workload.nranks, by_kind=True)
-        engine = ShardedEngine(2, config=config, tracer=tracer)
+        engine = ShardedEngine(
+            2, config=config, network=two_level_network(), tracer=tracer
+        )
         engine.run(workload)
+        assert engine.rank_times() == reference.rank_times()
         _assert_tracers_equal(tracer, ref_tracer)
-        assert engine.kernel_runs == 0  # kernels disabled everywhere
+        assert engine.fast_collectives_run == engine.kernel_runs == 0

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro.apps import HeatConfig, SpectralConfig, TsunamiConfig
 from repro.apps.workload import ExecutionMode
-from repro.simmpi import Engine, run_program
+from repro.simmpi import Engine, EngineConfig, run_program
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -36,6 +36,15 @@ def test_engine_constructors_take_only_a_config():
     ]
     assert list(inspect.signature(run_program).parameters) == [
         "program", "nranks", "config", "network", "tracer",
+    ]
+
+
+def test_engine_config_fields_are_pinned():
+    """The fast paths self-gate and their reference is ``ReferenceEngine``:
+    no config field switches a fast path off, and one field spells the
+    schedule."""
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+        "pool_capacity", "schedule", "failure_ranks", "track_recv_counts",
     ]
 
 
