@@ -1,6 +1,7 @@
 """Alternative L1 partitioners: spectral bisection and Newman modularity.
 
-DESIGN.md flags the partitioner as a design choice worth ablating. Both
+The partitioner is a design choice worth ablating
+(``tests/paper/test_extensions.py::TestPartitionerMethods`` does). Both
 alternatives here target the same objective family as the greedy
 agglomerative default (:mod:`repro.clustering.partition`) from different
 angles:
@@ -12,25 +13,15 @@ angles:
   pair of communities with the best modularity gain until no gain remains,
   then force mergers up to the minimum size.
 
-Both return the same dense node-label arrays as ``partition_node_graph``
-and are compared head-to-head in ``tests/paper/test_extensions.py``.
+Both return the same dense node-label arrays as ``partition_node_graph``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.clustering.partition import relabel_first_occurrence, undirected_weights
 from repro.commgraph.graph import CommGraph
-
-
-def _dense_relabel(labels: np.ndarray) -> np.ndarray:
-    order: dict[int, int] = {}
-    out = np.empty(labels.size, dtype=np.int64)
-    for i, lab in enumerate(labels):
-        if lab not in order:
-            order[int(lab)] = len(order)
-        out[i] = order[int(lab)]
-    return out
 
 
 def spectral_partition(
@@ -56,8 +47,7 @@ def spectral_partition(
     cap = max_cluster_nodes
     if cap < min_cluster_nodes:
         raise ValueError("max_cluster_nodes < min_cluster_nodes")
-    weights = graph.symmetric().astype(np.float64).copy()
-    np.fill_diagonal(weights, 0.0)
+    weights = undirected_weights(graph)
 
     labels = np.zeros(n, dtype=np.int64)
     next_label = 1
@@ -82,7 +72,7 @@ def spectral_partition(
         work.append(left)
         work.append(right)
 
-    labels = _dense_relabel(labels)
+    labels = relabel_first_occurrence(labels)
     sizes = np.bincount(labels)
     if (sizes < min_cluster_nodes).any():
         return _force_min_size(labels, min_cluster_nodes, cap, graph=graph)
@@ -106,8 +96,7 @@ def modularity_partition(
         raise ValueError(f"min_cluster_nodes {min_cluster_nodes} > n {n}")
     cap = max_cluster_nodes if max_cluster_nodes is not None else n
     # Full symmetric adjacency A; m2 = Σ A = 2m in Newman's notation.
-    adj = graph.symmetric().astype(np.float64).copy()
-    np.fill_diagonal(adj, 0.0)
+    adj = undirected_weights(graph)
     m2 = adj.sum()
     labels = np.arange(n, dtype=np.int64)
     if m2 == 0:
@@ -143,7 +132,7 @@ def modularity_partition(
         alive[c2] = False
         labels[labels == c2] = c1
 
-    labels = _dense_relabel(labels)
+    labels = relabel_first_occurrence(labels)
     return _force_min_size(labels, min_cluster_nodes, cap, graph=graph)
 
 
@@ -182,4 +171,4 @@ def _force_min_size(
         else:
             target = candidates[0]
         labels[members] = target
-    return _dense_relabel(labels)
+    return relabel_first_occurrence(labels)

@@ -115,11 +115,7 @@ def hierarchical_clustering(
     for node, lab in enumerate(node_labels):
         l1_node_lists[int(lab)].append(node)
 
-    l1_labels = np.empty(placement.nranks, dtype=np.int64)
-    for node in range(placement.nnodes):
-        for rank in placement.ranks_of_node(node):
-            l1_labels[rank] = node_labels[node]
-
+    l1_labels = node_labels[placement.node_array()]
     l2_labels = l2_striping(
         l1_node_lists, placement, l2_group_nodes=l2_group_nodes
     )

@@ -16,8 +16,15 @@ restarts in full). Small clusters drive ``L`` up; large clusters drive
 The optimizer is greedy agglomerative merging (start from singleton nodes,
 repeatedly apply the best-improving merge) followed by a boundary-refinement
 pass (move single nodes between neighboring clusters while it helps) —
-the standard heuristic family for this NP-hard problem, deterministic and
-fast at the paper's scales (64–128 nodes).
+the standard heuristic family for this NP-hard problem. Both passes are
+deterministic. Each merge round scores every admissible pair of the k
+live clusters in one O(k²) array pass; a 704-node graph (full-TSUBAME2
+size) partitions in ~2 s on a 2-core VM.
+
+Tie-break contract: a cluster's id is its lowest node index, and among
+admissible merges of equal gain the pair with the lexicographically
+smallest (lower id, higher id) wins. Labels are dense and numbered in
+order of each cluster's first node.
 """
 
 from __future__ import annotations
@@ -46,14 +53,28 @@ class PartitionCost:
         return self.w_logging * logged + self.w_restart * restart
 
 
+def relabel_first_occurrence(labels: np.ndarray) -> np.ndarray:
+    """Dense int64 labels 0 … k-1, numbered in order of first occurrence."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
+def undirected_weights(graph: CommGraph) -> np.ndarray:
+    """Symmetric float64 weights with a zero diagonal (a fresh array)."""
+    sym = graph.symmetric().astype(np.float64)
+    np.fill_diagonal(sym, 0.0)
+    return sym
+
+
 class _MergeState:
     """Incremental bookkeeping for greedy agglomeration."""
 
     def __init__(self, graph: CommGraph, cost: PartitionCost):
         self.n = graph.n
         self.cost = cost
-        sym = graph.symmetric().astype(np.float64).copy()
-        np.fill_diagonal(sym, 0.0)
+        sym = undirected_weights(graph)
         # Total undirected weight; the logged fraction of a partition is
         # cut/total in this symmetric accounting (same ratio as directed).
         self.total = float(sym.sum())
@@ -62,13 +83,15 @@ class _MergeState:
         self.alive = np.ones(self.n, dtype=bool)
         self.member_of = np.arange(self.n)
 
-    def merge_gain(self, a: int, b: int) -> float:
-        """Change of J when merging clusters a and b (negative = better)."""
-        d_logged = (
-            -2.0 * self.weights[a, b] / self.total if self.total > 0 else 0.0
-        )
-        sa, sb = self.sizes[a], self.sizes[b]
-        d_restart = (2.0 * sa * sb) / (self.n * self.n)
+    def merge_gains(self, alive: np.ndarray) -> np.ndarray:
+        """Change of J for merging each pair of ``alive`` clusters
+        (negative = better), one (k, k) array in a single pass."""
+        if self.total > 0:
+            d_logged = -2.0 * self.weights[np.ix_(alive, alive)] / self.total
+        else:
+            d_logged = np.zeros((alive.size, alive.size))
+        sizes = self.sizes[alive]
+        d_restart = 2.0 * sizes[:, None] * sizes[None, :] / (self.n * self.n)
         return self.cost.w_logging * d_logged + self.cost.w_restart * d_restart
 
     def merge(self, a: int, b: int) -> int:
@@ -83,19 +106,6 @@ class _MergeState:
         self.alive[b] = False
         self.member_of[self.member_of == b] = a
         return a
-
-    def labels(self) -> np.ndarray:
-        """Dense cluster labels ordered by each cluster's first node."""
-        _, dense = np.unique(self.member_of, return_inverse=True)
-        # np.unique sorts by cluster id; re-map so labels follow the first
-        # occurrence order (deterministic, node-order aligned).
-        order: dict[int, int] = {}
-        out = np.empty(self.n, dtype=np.int64)
-        for i, d in enumerate(dense):
-            if d not in order:
-                order[d] = len(order)
-            out[i] = order[d]
-        return out
 
 
 def partition_node_graph(
@@ -140,34 +150,31 @@ def partition_node_graph(
         alive = np.flatnonzero(state.alive)
         if alive.size == 1:
             break
-        undersized = [c for c in alive if state.sizes[c] < min_cluster_nodes]
-        best: tuple[float, int, int] | None = None
-        # When some cluster is below the floor, only merges fixing that are
+        sizes = state.sizes[alive]
+        undersized = sizes < min_cluster_nodes
+        forced = bool(undersized.any())
+        # Each unordered pair once (a < b), within the cap. When some
+        # cluster is below the floor, only merges fixing that are
         # admissible (and one will be forced even at positive cost).
-        candidates_a = undersized if undersized else alive
-        for a in candidates_a:
-            for b in alive:
-                if b == a:
-                    continue
-                if state.sizes[a] + state.sizes[b] > cap:
-                    continue
-                gain = state.merge_gain(min(a, b), max(a, b))
-                key = (gain, min(a, b), max(a, b))
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            if undersized:
+        admissible = np.triu(sizes[:, None] + sizes[None, :] <= cap, k=1)
+        if forced:
+            admissible &= undersized[:, None] | undersized[None, :]
+        if not admissible.any():
+            if forced:
                 raise ValueError(
                     f"cannot satisfy min_cluster_nodes={min_cluster_nodes} "
                     f"with max_cluster_nodes={max_cluster_nodes}"
                 )
             break
-        gain, a, b = best
-        if gain >= 0 and not undersized:
+        gains = state.merge_gains(alive)
+        gains[~admissible] = np.inf
+        # Row-major argmin takes the first minimum: the tie-break contract.
+        a, b = divmod(int(np.argmin(gains)), alive.size)
+        if gains[a, b] >= 0 and not forced:
             break
-        state.merge(a, b)
+        state.merge(alive[a], alive[b])
 
-    labels = state.labels()
+    labels = relabel_first_occurrence(state.member_of)
     if refine:
         labels = _refine(graph, labels, cost, min_cluster_nodes, cap)
     return labels
@@ -183,8 +190,7 @@ def _refine(
     """Greedy single-node moves between clusters while the objective improves."""
     labels = labels.copy()
     n = graph.n
-    sym = graph.symmetric().astype(np.float64).copy()
-    np.fill_diagonal(sym, 0.0)
+    sym = undirected_weights(graph)
     total = float(sym.sum())
     sizes = np.bincount(labels).astype(np.int64)
     k = sizes.size
@@ -199,8 +205,7 @@ def _refine(
             if sizes[src] <= min_size:
                 continue
             # Weight of v toward each cluster.
-            w_to = np.zeros(k)
-            np.add.at(w_to, labels, sym[v])
+            w_to = np.bincount(labels, weights=sym[v], minlength=k)
             best_gain, best_dst = 0.0, -1
             for dst in range(k):
                 if dst == src or sizes[dst] + 1 > max_size or sizes[dst] == 0:
@@ -219,11 +224,5 @@ def _refine(
                 sizes[best_dst] += 1
                 labels[v] = best_dst
                 improved = True
-    # Re-densify in first-occurrence order (moves may empty a cluster).
-    order: dict[int, int] = {}
-    out = np.empty(n, dtype=np.int64)
-    for i, lab in enumerate(labels):
-        if lab not in order:
-            order[lab] = len(order)
-        out[i] = order[lab]
-    return out
+    # Moves may empty a cluster, so re-densify.
+    return relabel_first_occurrence(labels)

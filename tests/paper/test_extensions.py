@@ -14,6 +14,7 @@ import pytest
 from repro.apps import TsunamiConfig
 from repro.clustering import (
     PartitionCost,
+    distributed_clustering,
     hierarchical_clustering,
     modularity_partition,
     naive_clustering,
@@ -244,6 +245,76 @@ class TestPartitionerMethods:
             assert sizes.sum() == 20, method.__name__
             assert (sizes[sizes > 0] >= 2).all(), method.__name__
             assert sizes.max() <= 5, method.__name__
+
+
+class TestDesignSpace:
+    """§VII's headline ("the only technique that reaches all the
+    requirements") over a 39-point grid instead of Table II's four rows:
+    naive and size-guided at 4…256 processes, distributed at every size
+    that divides the 64 nodes from 4 up, and hierarchical over
+    ``min_nodes_per_l1`` × ``l2_group_nodes``."""
+
+    SIZES = (4, 8, 16, 32, 64, 128, 256)
+    MIN_NODES_PER_L1 = (1, 2, 4, 8, 16)
+    L2_GROUP_NODES = (2, 4, 8, 16)
+    AXES = ("logging_fraction", "recovery_fraction", "encoding_s_per_gb", "prob_catastrophic")
+
+    @pytest.fixture(scope="class")
+    def flat(self, scenario, evaluator):
+        placement, n = scenario.placement, scenario.placement.nranks
+        clusterings = [
+            strategy(n, size)
+            for size in self.SIZES
+            for strategy in (naive_clustering, size_guided_clustering)
+        ]
+        clusterings += [
+            distributed_clustering(placement, size)
+            for size in self.SIZES
+            if size <= placement.nnodes and placement.nnodes % size == 0
+        ]
+        return {c.name: evaluator.evaluate(c) for c in clusterings}
+
+    @pytest.fixture(scope="class")
+    def hierarchical_grid(self, scenario, evaluator):
+        """Keyed by configuration: several share a name (and labels)."""
+        graph = scenario.node_comm_graph()
+        return {
+            f"hierarchical(min={m}, l2={w})": evaluator.evaluate(
+                hierarchical_clustering(
+                    graph,
+                    scenario.placement,
+                    cost=scenario.partition_cost,
+                    min_nodes_per_l1=m,
+                    l2_group_nodes=w,
+                )
+            )
+            for m in self.MIN_NODES_PER_L1
+            for w in self.L2_GROUP_NODES
+        }
+
+    @pytest.fixture(scope="class")
+    def satisfying(self, flat, hierarchical_grid):
+        grid = {**flat, **hierarchical_grid}
+        return sorted(k for k, s in grid.items() if PAPER_BASELINE.satisfied(s))
+
+    def dominates(self, a, b) -> bool:
+        pairs = [(getattr(a, axis), getattr(b, axis)) for axis in self.AXES]
+        return all(x <= y for x, y in pairs) and any(x < y for x, y in pairs)
+
+    def test_grid_has_39_points(self, flat, hierarchical_grid):
+        assert (len(flat), len(hierarchical_grid)) == (19, 20)
+
+    def test_every_flat_point_breaks_the_baseline(self, flat, satisfying):
+        passing = [name for name in flat if name in satisfying]
+        assert not passing, f"flat points inside the baseline; satisfying set: {satisfying}"
+
+    def test_paper_point_is_on_the_pareto_front(self, flat, hierarchical_grid, satisfying):
+        paper = hierarchical_grid["hierarchical(min=4, l2=4)"]
+        assert paper.name == "hierarchical-64-4"
+        dominators = [
+            k for k, s in {**flat, **hierarchical_grid}.items() if self.dominates(s, paper)
+        ]
+        assert not dominators, f"{dominators} dominate it; satisfying set: {satisfying}"
 
 
 class TestTaxonomySensitivity:
