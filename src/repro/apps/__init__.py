@@ -4,7 +4,8 @@
   shallow-water (tsunami) stencil with ghost-region exchange;
 * :mod:`repro.apps.heat` — a Jacobi heat-diffusion stencil (second domain
   example);
-* :mod:`repro.apps.stencil` — shared decomposition/halo machinery.
+* :mod:`repro.apps.stencil` — shared decomposition and the halo exchange
+  recipe.
 """
 
 from repro.apps.heat import HeatConfig, HeatSimulation, heat_step
@@ -17,11 +18,10 @@ from repro.apps.stencil import (
     EAST,
     HALO_TAG_BASE,
     NORTH,
+    HaloExchange,
     ProcessGrid,
     SOUTH,
     WEST,
-    halo_exchange,
-    synthetic_halo_exchange,
 )
 from repro.apps.tsunami import (
     GRAVITY,
@@ -50,6 +50,7 @@ __all__ = [
     "FTIWorkload",
     "GRAVITY",
     "HALO_TAG_BASE",
+    "HaloExchange",
     "HeatConfig",
     "HeatSimulation",
     "HeatWorkload",
@@ -67,12 +68,10 @@ __all__ = [
     "Workload",
     "fig5_workload",
     "fill_physical_ghosts",
-    "halo_exchange",
     "heat_step",
     "initial_eta",
     "initial_field",
     "paper_tsunami_config",
     "swe_step",
-    "synthetic_halo_exchange",
     "with_mode",
 ]

@@ -13,13 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.apps.stencil import (
-    HaloWave,
-    ProcessGrid,
-    halo_exchange,
-    synthetic_halo_exchange,
-)
-from repro.apps.workload import ExecutionMode
+from repro.apps.stencil import HaloExchange, ProcessGrid
+from repro.apps.workload import ExecutionMode, runs_kernels, runs_waves
+from repro.simmpi.engine import KernelLoop
 from repro.util.validation import check_in_range, check_positive
 
 
@@ -84,27 +80,15 @@ class HeatSimulation:
         t[1:-1, 1:-1] = initial_temperature(self.cfg, ys, xs)
         return {"t": t, "iteration": 0}
 
-    def step(self, comm, state: dict, *, kind: str = "halo"):
+    def step(self, comm, state: dict):
         """One parallel iteration (generator coroutine)."""
-        use_wave = self.cfg.mode.use_waves and getattr(comm, "supports_waves", False)
-        if self.cfg.synthetic:
-            if use_wave:
-                wave = HaloWave.cached(comm, self.grid, nfields=1, kind=kind)
-                yield wave.start_op
-                yield wave.drain_op
-            else:
-                yield from synthetic_halo_exchange(
-                    comm, self.grid, nfields=1, itemsize=8, kind=kind
-                )
-        else:
-            t = state["t"]
-            if use_wave:
-                wave = HaloWave.cached(comm, self.grid, [t], nfields=1, kind=kind)
-                yield from wave.exchange()
-            else:
-                yield from halo_exchange(comm, self.grid, [t], kind=kind)
+        fields = None if self.cfg.synthetic else [state["t"]]
+        halo = HaloExchange.cached(comm, self.grid, fields)
+        yield from halo.run(runs_waves(self.cfg.mode, comm))
+        if fields is not None:
             # Dirichlet walls: ghost stays 0 on physical boundaries, which
             # the zero-initialized padding already provides.
+            t = state["t"]
             t[1:-1, 1:-1] = heat_step(t, self.cfg.alpha)
         state["iteration"] += 1
 
@@ -128,16 +112,9 @@ class HeatSimulation:
                 state = {"iteration": 0}
             else:
                 state = self.make_rank_state(comm.rank)
-            if (
-                hook is None
-                and self.cfg.synthetic
-                and self.cfg.mode.use_kernels
-                and getattr(comm, "supports_waves", False)
-                and state["iteration"] < niter
-            ):
-                wave = HaloWave.cached(comm, self.grid, nfields=1, kind="halo")
-                remaining = niter - state["iteration"]
-                yield wave.kernel_loop(remaining)
+            if runs_kernels(self.cfg, comm, hook) and state["iteration"] < niter:
+                start, drain = comm.wave(HaloExchange.cached(comm, self.grid).recipe)
+                yield KernelLoop(start, drain, niter - state["iteration"])
                 state["iteration"] = niter
                 return state
             while state["iteration"] < niter:

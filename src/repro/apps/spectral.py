@@ -21,7 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.apps.workload import ExecutionMode
+from repro.apps.workload import ExecutionMode, runs_kernels, runs_waves
+from repro.simmpi.comm import Post
+from repro.simmpi.engine import KernelLoop
 from repro.util.validation import check_positive
 
 
@@ -110,45 +112,28 @@ class SpectralSimulation:
         """Reassemble received blocks into the transposed pencil."""
         return np.concatenate([b.T for b in blocks], axis=1)
 
-    def _transpose_wave(self, comm, *, kind: str):
-        """Cached persistent wave of one synthetic all-to-all round.
-
-        Compiled once per (rank, comm): the pairwise-exchange sends and
-        explicit-source receives of one transpose, interleaved exactly as
-        the per-message loop posts them. Both transpose rounds (and every
-        iteration) restart the same wave.
-        """
+    def _transpose(self, comm) -> tuple[Post, ...]:
+        """The recipe of one synthetic all-to-all round, cached per
+        (simulation, communicator): the pairwise-exchange sends (no
+        self-message) interleaved with their explicit-source receives.
+        Both transpose rounds of every iteration rerun it."""
         user = comm.ctx.user
         # The key tuple holds the simulation itself (identity hash), so
         # the cache entry keeps it alive and a recycled id can never
-        # resurrect a stale wave compiled for a different simulation.
-        key = ("transpose_wave", self, comm.comm_id, kind)
-        ops = user.get(key)
-        if ops is None:
-            wave = []
-            recvs = []
+        # resurrect a recipe built for a different simulation.
+        key = ("transpose", self, comm.comm_id)
+        recipe = user.get(key)
+        if recipe is None:
+            posts = []
             for step in range(1, comm.size):
                 dst = (comm.rank + step) % comm.size
                 src = (comm.rank - step) % comm.size
-                wave.append(
-                    comm.send_init(
-                        None,
-                        dest=dst,
-                        tag=777,
-                        nbytes=self.cfg.block_bytes,
-                        kind=kind,
-                    )
-                )
-                recv = comm.recv_init(source=src, tag=777)
-                wave.append(recv)
-                recvs.append(recv)
-            ops = user[key] = (
-                comm.start_all_op(tuple(wave)),
-                comm.waitall_op(tuple(recvs)),
-            )
-        return ops
+                posts.append(Post(True, dst, 777, self.cfg.block_bytes, "transpose"))
+                posts.append(Post(False, src, 777))
+            recipe = user[key] = tuple(posts)
+        return recipe
 
-    def step(self, comm, state: dict, *, kind: str = "transpose"):
+    def step(self, comm, state: dict):
         """One iteration: FFT rows → global transpose → FFT rows →
         damp → inverse transform (transpose back included).
 
@@ -156,33 +141,11 @@ class SpectralSimulation:
         """
         cfg = self.cfg
         if cfg.synthetic:
-            # Two all-to-alls per iteration, metadata only. Mirrors the
-            # pairwise-exchange algorithm (no self-message), posting every
-            # send and explicit-source receive of a round before draining
-            # it — the wave path and the per-message reference share this
-            # structure, so their stamps, traces and clocks are identical.
-            if cfg.mode.use_waves and getattr(comm, "supports_waves", False):
-                start, drain = self._transpose_wave(comm, kind=kind)
-                for _ in range(2):
-                    yield start
-                    yield drain
-            else:
-                for _ in range(2):
-                    recvs = []
-                    for step in range(1, comm.size):
-                        dst = (comm.rank + step) % comm.size
-                        src = (comm.rank - step) % comm.size
-                        yield from comm.isend(
-                            None,
-                            dest=dst,
-                            tag=777,
-                            nbytes=cfg.block_bytes,
-                            kind=kind,
-                        )
-                        recvs.append(
-                            (yield from comm.irecv(source=src, tag=777))
-                        )
-                    yield from comm.waitall(recvs)
+            # Two all-to-alls per iteration, metadata only.
+            recipe = self._transpose(comm)
+            waves = runs_waves(cfg.mode, comm)
+            for _ in range(2):
+                yield from comm.exchange(recipe, waves=waves)
             state["iteration"] += 1
             return
 
@@ -213,19 +176,10 @@ class SpectralSimulation:
                 if self.cfg.synthetic
                 else self.make_rank_state(comm.rank)
             )
-            if (
-                hook is None
-                and self.cfg.synthetic
-                and self.cfg.mode.use_kernels
-                and getattr(comm, "supports_waves", False)
-                and state["iteration"] < niter
-            ):
-                from repro.simmpi.engine import KernelLoop
-
-                start, drain = self._transpose_wave(comm, kind="transpose")
+            if runs_kernels(self.cfg, comm, hook) and state["iteration"] < niter:
+                start, drain = comm.wave(self._transpose(comm))
                 # Two transpose rounds per iteration — same wave twice.
-                remaining = niter - state["iteration"]
-                yield KernelLoop(start, drain, 2 * remaining)
+                yield KernelLoop(start, drain, 2 * (niter - state["iteration"]))
                 state["iteration"] = niter
                 return state
             while state["iteration"] < niter:

@@ -4,26 +4,34 @@ Both workloads (tsunami shallow-water, heat diffusion) are stencil codes:
 each rank owns a rectangular tile of a global grid and exchanges ghost
 (halo) rows/columns with its 4 neighbors every iteration — "processes
 communicate with their neighbors to share ghosts regions" (§III). This
-module holds the decomposition arithmetic and the exchange coroutine; the
-physics lives in the per-application modules.
+module holds the decomposition arithmetic and the exchange; the physics
+lives in the per-application modules.
 
 Rank numbering is **row-major**: rank = row · Px + col. With the paper's
 placement (consecutive ranks per node), east/west neighbors are ±1 — mostly
 intra-node — and north/south neighbors are ±Px — inter-node. That is what
 produces the "blue double diagonal" of Fig. 5a/5b.
 
-The exchange posts all four halo sends before the first wait, which is the
-shape the engine's batched p2p pricing amortizes: each scheduler batch's
-whole send wave (4 messages per rank) is priced in one vectorized
-``NetworkModel.transfer_times`` call (see :mod:`repro.simmpi.engine`,
-"Batched p2p pricing").
+One recipe, two drivers: :class:`HaloExchange` describes a rank's exchange
+once, as an exchange recipe (:class:`repro.simmpi.Post` entries), and
+either driver of :meth:`repro.simmpi.Communicator.exchange` runs it — the
+persistent-request wave (``ExecutionMode.WAVES`` / ``KERNELS``, which also
+hands the same wave to a ``KernelLoop``) or message by message
+(``ExecutionMode.PER_MESSAGE``, and HydEE replay windows). The recipe
+posts all four halo sends before the first wait, the shape the engine's
+batched p2p pricing amortizes. The independent oracle is a halo loop
+written out by hand with ``isend`` / ``irecv`` / ``wait`` in the test
+suites, which every mode must match in results, traces and clocks.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.simmpi.comm import Post
 
 #: Direction indices, clockwise from north.
 NORTH, EAST, SOUTH, WEST = 0, 1, 2, 3
@@ -33,8 +41,6 @@ _DIR_NAMES = ("north", "east", "south", "west")
 HALO_TAG_BASE = 1000
 
 # Interior slices sent to each direction / ghost slices filled from it.
-# Hoisted to module level: halo_exchange runs once per rank per iteration,
-# and rebuilding these dicts dominated its non-engine cost at 1024 ranks.
 _SEND_SLICES = {
     NORTH: (slice(1, 2), slice(1, -1)),
     SOUTH: (slice(-2, -1), slice(1, -1)),
@@ -116,167 +122,30 @@ class ProcessGrid:
         return (slice(row * ty, (row + 1) * ty), slice(col * tx, (col + 1) * tx))
 
 
-def halo_exchange(
-    comm,
-    grid: ProcessGrid,
-    fields: list[np.ndarray],
-    *,
-    synthetic: bool = False,
-    tag_base: int = HALO_TAG_BASE,
-    kind: str = "halo",
-):
-    """Exchange 1-cell-deep ghost layers of padded tiles with 4 neighbors.
+class HaloExchange:
+    """The halo exchange of one (communicator, fields) pair, as a recipe.
 
-    Every array in ``fields`` must be a padded tile of shape
-    ``(tile_ny + 2, tile_nx + 2)``; ghost layers of all fields travel in one
-    message per direction (as real stencil codes pack them).
+    :attr:`recipe` lists, for each existing neighbor in N, E, S, W order,
+    the send toward it and the receive from it (tags encode the direction,
+    so the four concurrent exchanges never cross-match). :meth:`run` hands
+    it to the wave or the per-message driver of
+    :meth:`repro.simmpi.Communicator.exchange`.
 
-    In ``synthetic`` mode no data moves — messages carry only the byte count
-    — which is how 1024-rank traces stay cheap; the engine and tracer see
-    exactly the same messages either way.
+    Two payload modes:
 
-    This is a generator coroutine: call with ``yield from`` inside a rank
-    program. Message tags encode the direction so the four concurrent
-    exchanges never cross-match.
-    """
-    rank = comm.rank
-    neighbors = grid.neighbors_of(rank)
-    ty, tx = grid.tile_ny, grid.tile_nx
-    for f in fields:
-        if f.shape != (ty + 2, tx + 2):
-            raise ValueError(
-                f"field shape {f.shape} != padded tile ({ty + 2}, {tx + 2})"
-            )
+    * *synthetic* (``fields=None``) — messages carry byte counts only,
+      ``nfields`` float64 values per edge cell;
+    * *real* (``fields`` given) — padded ``(tile_ny + 2, tile_nx + 2)``
+      tiles; ghost layers of all fields travel in one message per
+      direction. Each send owns a pack buffer that :meth:`run` fills from
+      the current edge slices before posting (both drivers snapshot it)
+      and received payloads are scattered into the ghost layers after.
 
-    send_slices = _SEND_SLICES
-    recv_slices = _RECV_SLICES
-    opposite = _OPPOSITE
-    itemsize = fields[0].itemsize
-    edge_bytes = {
-        NORTH: len(fields) * tx * itemsize,
-        SOUTH: len(fields) * tx * itemsize,
-        EAST: len(fields) * ty * itemsize,
-        WEST: len(fields) * ty * itemsize,
-    }
-
-    recv_reqs: list[tuple[int, object]] = []
-    for direction in (NORTH, EAST, SOUTH, WEST):
-        neighbor = neighbors[direction]
-        if neighbor is None:
-            continue
-        # My message toward `direction` arrives at the neighbor labeled as
-        # coming from the opposite direction.
-        send_tag = tag_base + direction
-        recv_tag = tag_base + opposite[direction]
-        if synthetic:
-            payload = None
-        else:
-            payload = np.concatenate(
-                [f[send_slices[direction]].ravel() for f in fields]
-            )
-        yield from comm.isend(
-            payload,
-            dest=neighbor,
-            tag=send_tag,
-            nbytes=edge_bytes[direction],
-            kind=kind,
-        )
-        req = yield from comm.irecv(source=neighbor, tag=recv_tag)
-        recv_reqs.append((direction, req))
-
-    for direction, req in recv_reqs:
-        payload = yield from comm.wait(req)
-        if synthetic:
-            continue
-        sl = recv_slices[direction]
-        n = fields[0][sl].size
-        for i, f in enumerate(fields):
-            f[sl] = payload[i * n : (i + 1) * n].reshape(f[sl].shape)
-
-
-def halo_wave_init(
-    comm,
-    grid: ProcessGrid,
-    rank: int | None = None,
-    *,
-    nfields: int = 1,
-    itemsize: int = 8,
-    tag_base: int = HALO_TAG_BASE,
-    kind: str = "halo",
-):
-    """Build the persistent-request halo wave of one rank (metadata-only).
-
-    Returns ``(wave, recvs)``: ``wave`` is the full posting wave (sends and
-    receives interleaved exactly like :func:`synthetic_halo_exchange` posts
-    them, so matching stamps, traces and clocks come out identical) and
-    ``recvs`` the receive handles in completion-wait order. Steady-state
-    usage pairs it with the communicator's reusable ops::
-
-        wave, recvs = halo_wave_init(comm, grid, nfields=3)
-        start = comm.start_all_op(wave)
-        drain = comm.waitall_op(recvs)
-        for _ in range(iterations):
-            yield start
-            yield drain
-
-    This is MPI's persistent-communication shape (``MPI_Send_init`` /
-    ``MPI_Startall``): one engine interaction posts the whole wave and one
-    drains it, which is what makes the wave benchmark p2p-bound instead of
-    generator-bound. (Thin wrapper over :class:`HaloWave` — the single
-    owner of the posting-order recipe.)
-    """
-    wave = HaloWave(
-        comm,
-        grid,
-        None,
-        rank=rank,
-        nfields=nfields,
-        itemsize=itemsize,
-        tag_base=tag_base,
-        kind=kind,
-    )
-    return wave.requests, wave.recvs
-
-
-class HaloWave:
-    """Compiled persistent-request halo exchange of one (comm, fields) pair.
-
-    Construction compiles the rank's per-iteration exchange once — the
-    persistent send/recv recipes interleaved exactly as
-    :func:`halo_exchange` / :func:`synthetic_halo_exchange` post them, so
-    matching stamps, traces and clocks come out identical to the
-    per-message reference — plus the reusable ``start_all_op`` /
-    ``waitall_op`` engine ops. Each steady-state iteration then costs two
-    engine yields (:attr:`start_op`, :attr:`drain_op`) instead of one
-    interaction per message.
-
-    Two payload modes, mirroring the exchange functions:
-
-    * *synthetic* (``fields=None``) — messages carry byte counts only;
-      ``nfields``/``itemsize`` size them;
-    * *real* (``fields`` given) — each direction owns a persistent pack
-      buffer; :meth:`exchange` gathers the current ghost slices into it
-      before the start (the engine's buffered-send capture then snapshots
-      the buffer, exactly like the fresh ``np.concatenate`` the
-      per-message path sends) and scatters received payloads back into
-      the ghost layers after the drain.
-
-    The wave is bound to the communicator and field arrays it was built
-    with; stencil codes mutate their tiles in place, so one wave per rank
-    per run is the expected shape (see ``TsunamiSimulation.step``).
+    Stencil codes mutate their tiles in place, so one exchange per rank
+    per run is the expected shape (:meth:`cached`).
     """
 
-    __slots__ = (
-        "comm",
-        "grid",
-        "fields",
-        "requests",
-        "recvs",
-        "start_op",
-        "drain_op",
-        "_pack",
-        "_unpack",
-    )
+    __slots__ = ("comm", "grid", "fields", "recipe", "_pack", "_unpack")
 
     def __init__(
         self,
@@ -284,66 +153,46 @@ class HaloWave:
         grid: ProcessGrid,
         fields: list[np.ndarray] | None = None,
         *,
-        rank: int | None = None,
         nfields: int = 1,
-        itemsize: int = 8,
-        tag_base: int = HALO_TAG_BASE,
         kind: str = "halo",
     ):
         self.comm = comm
         self.grid = grid
         self.fields = fields
-        if rank is None:
-            rank = comm.rank
-        neighbors = grid.neighbors_of(rank)
         ty, tx = grid.tile_ny, grid.tile_nx
+        itemsize = 8
         if fields is not None:
             nfields = len(fields)
             itemsize = fields[0].itemsize
             for f in fields:
                 if f.shape != (ty + 2, tx + 2):
                     raise ValueError(
-                        f"field shape {f.shape} != padded tile "
-                        f"({ty + 2}, {tx + 2})"
+                        f"field shape {f.shape} != padded tile ({ty + 2}, {tx + 2})"
                     )
         edge_cells = {NORTH: tx, SOUTH: tx, EAST: ty, WEST: ty}
-        wave = []
-        recvs = []
-        # Per-direction (buffer, send slices) and (ghost slices) tables for
-        # the real-payload pack/unpack passes, in posting/wait order.
+        neighbors = grid.neighbors_of(comm.rank)
+        posts = []
+        # Per-direction (buffer, edge slices) and ghost slices for the
+        # real-payload pack/unpack passes, in posting/wait order.
         self._pack: list[tuple[np.ndarray, tuple[slice, slice]]] = []
         self._unpack: list[tuple[slice, slice]] = []
         for direction in (NORTH, EAST, SOUTH, WEST):
             neighbor = neighbors[direction]
             if neighbor is None:
                 continue
-            nbytes = nfields * edge_cells[direction] * itemsize
-            if fields is None:
-                payload = None
-            else:
-                payload = np.empty(
-                    nfields * edge_cells[direction], dtype=fields[0].dtype
-                )
-                self._pack.append((payload, _SEND_SLICES[direction]))
+            cells = nfields * edge_cells[direction]
+            buffer = None
+            if fields is not None:
+                buffer = np.empty(cells, dtype=fields[0].dtype)
+                self._pack.append((buffer, _SEND_SLICES[direction]))
                 self._unpack.append(_RECV_SLICES[direction])
-            wave.append(
-                comm.send_init(
-                    payload,
-                    dest=neighbor,
-                    tag=tag_base + direction,
-                    nbytes=nbytes,
-                    kind=kind,
-                )
+            # My message toward `direction` arrives at the neighbor labeled
+            # as coming from the opposite direction.
+            posts.append(
+                Post(True, neighbor, HALO_TAG_BASE + direction, cells * itemsize, kind, buffer)
             )
-            recv = comm.recv_init(
-                source=neighbor, tag=tag_base + _OPPOSITE[direction]
-            )
-            wave.append(recv)
-            recvs.append(recv)
-        self.requests = tuple(wave)
-        self.recvs = recvs
-        self.start_op = comm.start_all_op(self.requests)
-        self.drain_op = comm.waitall_op(recvs)
+            posts.append(Post(False, neighbor, HALO_TAG_BASE + _OPPOSITE[direction]))
+        self.recipe = tuple(posts)
 
     @classmethod
     def cached(
@@ -353,111 +202,37 @@ class HaloWave:
         fields: list[np.ndarray] | None = None,
         *,
         nfields: int = 1,
-        itemsize: int = 8,
-        tag_base: int = HALO_TAG_BASE,
         kind: str = "halo",
-    ) -> "HaloWave":
-        """Compile-once accessor for steady-state loops.
+    ) -> "HaloExchange":
+        """Build-once accessor for steady-state loops.
 
-        The wave is cached in the communicator's ``ctx.user`` dict, keyed
-        by the caller-visible shape (communicator, tag space, kind) —
-        scoped to one engine run — and recompiled when the bound field
-        list changes identity (a caller stepping a different state through
-        the same communicator). The cache entry holds the wave (and the
-        wave its requests), so nothing here can be resurrected under a
-        recycled ``id``.
+        Cached in the rank's ``ctx.user`` dict (scoped to one engine run)
+        per (communicator, kind, field count), and rebuilt when the
+        communicator, grid or bound field arrays change identity (a caller
+        stepping a different state through the same communicator). The
+        entry holds the fields, so no ``id`` can be recycled under it.
         """
         user = comm.ctx.user
-        key = ("halo_wave", comm.comm_id, tag_base, kind, nfields, itemsize)
-        wave = user.get(key)
+        key = ("halo", comm.comm_id, kind, nfields if fields is None else len(fields))
+        halo = user.get(key)
         if (
-            wave is None
-            or wave.grid != grid
-            or (wave.fields is None) != (fields is None)
-            or (
-                fields is not None
-                and (
-                    len(wave.fields) != len(fields)
-                    or any(a is not b for a, b in zip(wave.fields, fields))
-                )
-            )
+            halo is None
+            or halo.comm is not comm
+            or halo.grid is not grid
+            or (halo.fields is None) != (fields is None)
+            or (fields is not None and not all(map(operator.is_, halo.fields, fields)))
         ):
-            wave = user[key] = cls(
-                comm,
-                grid,
-                fields,
-                nfields=nfields,
-                itemsize=itemsize,
-                tag_base=tag_base,
-                kind=kind,
-            )
-        return wave
+            halo = user[key] = cls(comm, grid, fields, nfields=nfields, kind=kind)
+        return halo
 
-    def exchange(self):
-        """One halo exchange (generator coroutine — ``yield from`` it).
-
-        Synthetic waves should prefer yielding :attr:`start_op` /
-        :attr:`drain_op` directly from the caller's loop (no subgenerator
-        frame); this coroutine packs/unpacks real payloads around them.
-        """
+    def run(self, waves: bool):
+        """One halo exchange (generator coroutine — ``yield from`` it),
+        through the wave driver when ``waves`` else message by message."""
         fields = self.fields
-        if fields is not None:
-            for buf, sl in self._pack:
-                np.concatenate([f[sl].ravel() for f in fields], out=buf)
-        yield self.start_op
-        payloads = yield self.drain_op
-        if fields is not None:
-            for payload, sl in zip(payloads, self._unpack):
-                n = fields[0][sl].size
-                for i, f in enumerate(fields):
-                    f[sl] = payload[i * n : (i + 1) * n].reshape(f[sl].shape)
-
-    def kernel_loop(self, iterations: int, colls: tuple = ()):
-        """A :class:`~repro.simmpi.engine.KernelLoop` op repeating this
-        wave ``iterations`` times (synthetic waves only — the kernel never
-        touches payload buffers, so packing fields would be skipped)."""
-        from repro.simmpi.engine import KernelLoop
-
-        return KernelLoop(self.start_op, self.drain_op, iterations, colls)
-
-
-def synthetic_halo_exchange(
-    comm,
-    grid: ProcessGrid,
-    *,
-    nfields: int = 1,
-    itemsize: int = 8,
-    tag_base: int = HALO_TAG_BASE,
-    kind: str = "halo",
-):
-    """Metadata-only halo exchange: same messages and byte counts as
-    :func:`halo_exchange`, no arrays. Used for large-scale trace collection
-    where only the communication matrix matters.
-    """
-    rank = comm.rank
-    neighbors = grid.neighbors_of(rank)
-    opposite = _OPPOSITE
-    edge_cells = {
-        NORTH: grid.tile_nx,
-        SOUTH: grid.tile_nx,
-        EAST: grid.tile_ny,
-        WEST: grid.tile_ny,
-    }
-    recv_reqs = []
-    for direction in (NORTH, EAST, SOUTH, WEST):
-        neighbor = neighbors[direction]
-        if neighbor is None:
-            continue
-        yield from comm.isend(
-            None,
-            dest=neighbor,
-            tag=tag_base + direction,
-            nbytes=nfields * edge_cells[direction] * itemsize,
-            kind=kind,
-        )
-        req = yield from comm.irecv(
-            source=neighbor, tag=tag_base + opposite[direction]
-        )
-        recv_reqs.append(req)
-    for req in recv_reqs:
-        yield from comm.wait(req)
+        for buf, sl in self._pack:
+            np.concatenate([f[sl].ravel() for f in fields], out=buf)
+        payloads = yield from self.comm.exchange(self.recipe, waves=waves)
+        for payload, sl in zip(payloads, self._unpack):
+            n = fields[0][sl].size
+            for i, f in enumerate(fields):
+                f[sl] = payload[i * n : (i + 1) * n].reshape(f[sl].shape)

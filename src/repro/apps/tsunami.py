@@ -7,7 +7,8 @@ regions (§III). We reproduce the *parallel structure* with a linearized
 shallow-water solver (Lax–Friedrichs scheme over wave height ``eta`` and
 depth-averaged velocities ``u``, ``v``) on the same 2-D decomposition.
 
-Shape calibration (documented in DESIGN.md §5): the paper's trace shows the
+Shape calibration (see the "Known deviations" block of
+``docs/architecture.md``): the paper's trace shows the
 east-west exchange dominating the north-south one, and consecutive-rank
 clusters of 32 logging < 4 % of bytes. Both pin the tile aspect ratio near
 height ≈ 24 × width; :func:`paper_tsunami_config` uses 32×768-cell tiles on
@@ -29,13 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.apps.stencil import (
-    HaloWave,
-    ProcessGrid,
-    halo_exchange,
-    synthetic_halo_exchange,
-)
-from repro.apps.workload import ExecutionMode
+from repro.apps.stencil import HaloExchange, ProcessGrid
+from repro.apps.workload import ExecutionMode, runs_kernels, runs_waves
+from repro.simmpi.engine import KernelLoop
 from repro.util.validation import check_positive
 
 #: Gravitational acceleration used by the solver (m/s^2).
@@ -216,36 +213,22 @@ class TsunamiSimulation:
             "west": west is None,
         }
 
-    def step(self, comm, state: dict, *, kind: str = "halo"):
+    def step(self, comm, state: dict):
         """One parallel iteration: halo exchange, boundary fill, update.
 
         Generator coroutine (``yield from`` it inside a rank program).
-        Mutates ``state`` in place and bumps ``state['iteration']``.
-        With ``cfg.mode.use_waves`` (and a communicator that supports them) the
-        halo travels as a compiled persistent wave — same messages, traces
-        and clocks as the per-message exchange, two engine yields per
-        iteration.
+        Mutates ``state`` in place and bumps ``state['iteration']``. The
+        halo recipe runs through the driver :func:`runs_waves` picks — same
+        messages, traces and clocks either way.
         """
         cfg = self.cfg
-        use_wave = cfg.mode.use_waves and getattr(comm, "supports_waves", False)
         if cfg.synthetic:
-            if use_wave:
-                wave = HaloWave.cached(comm, self.grid, nfields=3, kind=kind)
-                yield wave.start_op
-                yield wave.drain_op
-            else:
-                yield from synthetic_halo_exchange(
-                    comm, self.grid, nfields=3, itemsize=8, kind=kind
-                )
+            halo = HaloExchange.cached(comm, self.grid, nfields=3)
         else:
             eta, u, v = state["eta"], state["u"], state["v"]
-            if use_wave:
-                wave = HaloWave.cached(
-                    comm, self.grid, [eta, u, v], nfields=3, kind=kind
-                )
-                yield from wave.exchange()
-            else:
-                yield from halo_exchange(comm, self.grid, [eta, u, v], kind=kind)
+            halo = HaloExchange.cached(comm, self.grid, [eta, u, v])
+        yield from halo.run(runs_waves(cfg.mode, comm))
+        if not cfg.synthetic:
             fill_physical_ghosts(eta, u, v, **self._physical_sides(comm.rank))
             eta_new, u_new, v_new = swe_step(
                 eta, u, v, dt=cfg.timestep, dx=cfg.dx, depth=cfg.depth
@@ -297,12 +280,7 @@ class TsunamiSimulation:
                 state = {"iteration": 0}
             else:
                 state = self.make_rank_state(comm.rank)
-            if (
-                hook is None
-                and self.cfg.synthetic
-                and self.cfg.mode.use_kernels
-                and getattr(comm, "supports_waves", False)
-            ):
+            if runs_kernels(self.cfg, comm, hook):
                 yield from self._kernel_program(comm, state, niter)
                 return state
             while state["iteration"] < niter:
@@ -322,7 +300,7 @@ class TsunamiSimulation:
         from repro.simmpi.collectives import max_op
 
         every = self.cfg.allreduce_every
-        wave = HaloWave.cached(comm, self.grid, nfields=3, kind="halo")
+        start, drain = comm.wave(HaloExchange.cached(comm, self.grid, nfields=3).recipe)
         while state["iteration"] < niter:
             it = state["iteration"]
             if every:
@@ -331,12 +309,12 @@ class TsunamiSimulation:
                 chunk = niter - it
             fire = bool(every) and (it + chunk) % every == 0
             if fire and comm.collective_windows_ok():
-                _, wres = yield wave.kernel_loop(
-                    chunk, (comm.allreduce_op(0.0, max_op),)
+                _, wres = yield KernelLoop(
+                    start, drain, chunk, (comm.allreduce_op(0.0, max_op),)
                 )
                 state["eta_max"] = wres[0]
             else:
-                yield wave.kernel_loop(chunk)
+                yield KernelLoop(start, drain, chunk)
                 if fire:
                     state["eta_max"] = yield from comm.allreduce(0.0, max_op)
             state["iteration"] = it + chunk

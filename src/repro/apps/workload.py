@@ -6,7 +6,8 @@ sharded workers) shares instead of assembling rank programs its own way:
 * :class:`ExecutionMode` — the one enum naming how a workload drives the
   engine (``PER_MESSAGE`` / ``WAVES`` / ``KERNELS``). Every app config
   carries it as its ``mode`` field and nothing else about execution;
-  readers ask the mode (``cfg.mode.use_waves`` / ``cfg.mode.use_kernels``).
+  apps ask :func:`runs_waves` (which driver runs an exchange recipe) and
+  :func:`runs_kernels` (whether a steady loop becomes a ``KernelLoop``).
 * :class:`Workload` — a *picklable* per-rank program factory protocol:
   ``workload.build_program(rank)`` returns the rank's program callable,
   so a shard worker ships one small object across the process boundary
@@ -33,13 +34,15 @@ from typing import Any, Callable, Sequence
 class ExecutionMode(Enum):
     """How a workload's steady-state loop drives the engine.
 
-    ``PER_MESSAGE`` posts individual isend/irecv/wait ops (the bit-exact
-    reference path); ``WAVES`` posts persistent-request halo waves (one
-    ``start_all`` + one ``waitall`` per iteration); ``KERNELS``
-    additionally declares :class:`~repro.simmpi.engine.KernelLoop` ops so
-    eligible steady states execute closed-form. Messages, traces and
-    clocks are identical across all three — the equivalence suites pin
-    it — so the mode is purely a performance choice.
+    Every app describes each repeated exchange once, as a recipe
+    (:meth:`repro.simmpi.Communicator.exchange`). ``PER_MESSAGE`` runs the
+    recipes through the per-message driver (isend/irecv/wait);
+    ``WAVES`` through the wave driver (one ``start_all`` + one
+    ``waitall`` per exchange); ``KERNELS`` additionally declares
+    :class:`~repro.simmpi.engine.KernelLoop` ops so eligible steady states
+    execute closed-form. Messages, traces and clocks are identical across
+    all three — the suites pin each against hand-written loops — so the
+    mode is purely a performance choice.
     """
 
     PER_MESSAGE = "per-message"
@@ -60,6 +63,31 @@ class ExecutionMode(Enum):
 def with_mode(cfg: Any, mode: ExecutionMode) -> Any:
     """Copy an app config with its execution mode replaced."""
     return _dc_replace(cfg, mode=mode)
+
+
+def runs_waves(mode: ExecutionMode, comm) -> bool:
+    """Whether ``comm`` runs exchange recipes with the wave driver.
+
+    The one "wave or per-message?" decision: waves when the mode posts
+    them and the communicator supports persistent requests; otherwise the
+    per-message driver runs the same recipe (``PER_MESSAGE``, and every
+    HydEE replay window).
+    """
+    return mode.use_waves and comm.supports_waves
+
+
+def runs_kernels(cfg: Any, comm, hook: Callable | None = None) -> bool:
+    """Whether a steady loop on ``comm`` may be yielded as a ``KernelLoop``.
+
+    The one kernel gate: a synthetic app config in ``KERNELS`` mode, no
+    per-iteration ``hook`` and a communicator that runs waves.
+    """
+    return (
+        hook is None
+        and cfg.synthetic
+        and cfg.mode.use_kernels
+        and comm.supports_waves
+    )
 
 
 class Workload(abc.ABC):

@@ -29,7 +29,7 @@ def synthetic_stencil_matrix(
 
     East/west messages carry ``nfields · tile_ny`` items, north/south
     messages ``nfields · tile_nx`` items, matching
-    :func:`repro.apps.stencil.halo_exchange`. Collectives (the periodic
+    :class:`repro.apps.stencil.HaloExchange`. Collectives (the periodic
     ``allreduce``) are *not* included — their volume is negligible (8-byte
     scalars) and the sweeps in the paper reason about the stencil traffic.
     """

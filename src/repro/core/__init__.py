@@ -19,7 +19,6 @@ from repro.core.montecarlo import (
     MonteCarloScores,
     analytic_restart_mixture,
     montecarlo_scores,
-    montecarlo_scores_scalar,
     validate_against_analytic,
 )
 from repro.core.query import (
@@ -80,7 +79,6 @@ __all__ = [
     "experiment_table1",
     "experiment_table2",
     "montecarlo_scores",
-    "montecarlo_scores_scalar",
     "paper_scenario",
     "query_for",
     "radar_table",

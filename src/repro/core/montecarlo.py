@@ -17,10 +17,11 @@ scoring is pure array indexing into the precomputed per-(clustering,
 placement) lookup tables of :mod:`repro.core.tables` — restart fraction
 and catastrophic verdict of every possible contiguous node run are
 computed once and reused across samples, seeds and strategies. The
-per-event loop survives as :func:`montecarlo_scores_scalar`, the reference
-implementation the equivalence tests compare against; it is 10–100×
-slower. The batched rate is the ledger's ``core.montecarlo.samples_per_s``
-layer metric (``benchmarks/ledger/``, workload ``paper-exhibits``).
+original per-event loop lives on only as the test-only reference in
+``tests/core/test_montecarlo.py``, which the batched path must agree with
+statistically. The batched rate is the ledger's
+``core.montecarlo.samples_per_s`` layer metric (``benchmarks/ledger/``,
+workload ``paper-exhibits``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.failures.catastrophic import (
     MonteCarloEstimator,
     rs_half_tolerance,
 )
-from repro.models.recovery_cost import restart_set_for_nodes
 from repro.util.rng import resolve_rng
 
 
@@ -60,20 +60,6 @@ class MonteCarloScores:
             f"catastrophic rate {self.catastrophic_rate:.3g} "
             f"over {self.n_samples} sampled failures"
         )
-
-
-def _scores_from_samples(
-    name: str, restart_fractions: np.ndarray, catastrophic: int, soft: int
-) -> MonteCarloScores:
-    n_samples = restart_fractions.size
-    return MonteCarloScores(
-        name=name,
-        n_samples=n_samples,
-        restart_fraction_mean=float(restart_fractions.mean()),
-        restart_fraction_p95=float(np.quantile(restart_fractions, 0.95)),
-        catastrophic_rate=catastrophic / n_samples,
-        soft_error_share=soft / n_samples,
-    )
 
 
 def analytic_restart_mixture(scenario: Scenario, clustering: Clustering) -> float:
@@ -128,54 +114,14 @@ def montecarlo_scores(
     tables = restart_tables(clustering, scenario.placement)
     restart_fractions = tables.batch_restart_fractions(batch)
     catastrophic = int(model.events_are_catastrophic(clustering, batch).sum())
-    return _scores_from_samples(
-        clustering.name, restart_fractions, catastrophic, int(batch.is_soft.sum())
-    )
-
-
-def montecarlo_scores_scalar(
-    scenario: Scenario,
-    clustering: Clustering,
-    *,
-    n_samples: int = 2000,
-    rng=None,
-    tolerance=rs_half_tolerance,
-) -> MonteCarloScores:
-    """Per-event reference implementation of :func:`montecarlo_scores`.
-
-    Walks every sampled event through the scalar predicates — the original
-    sample-then-measure loop. Kept (and exercised by the equivalence tests)
-    as the ground truth the batched engine must reproduce; use the batched
-    path everywhere else.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    gen = resolve_rng(rng)
-    model = CatastrophicModel(
-        scenario.placement, taxonomy=scenario.taxonomy, tolerance=tolerance
-    )
-    sampler = MonteCarloEstimator(model, rng=gen)
-
-    restart_fractions = np.empty(n_samples)
-    catastrophic = 0
-    soft = 0
-    n = clustering.n
-    for i in range(n_samples):
-        event = sampler.sample_event()
-        if event.kind == "soft":
-            soft += 1
-            members = clustering.l1_members(clustering.l1_of(event.process))
-            restart_fractions[i] = members.size / n
-        else:
-            restart = restart_set_for_nodes(
-                clustering, scenario.placement, event.nodes
-            )
-            restart_fractions[i] = restart.size / n
-        if model.event_is_catastrophic(clustering, event):
-            catastrophic += 1
-
-    return _scores_from_samples(
-        clustering.name, restart_fractions, catastrophic, soft
+    n = restart_fractions.size
+    return MonteCarloScores(
+        name=clustering.name,
+        n_samples=n,
+        restart_fraction_mean=float(restart_fractions.mean()),
+        restart_fraction_p95=float(np.quantile(restart_fractions, 0.95)),
+        catastrophic_rate=catastrophic / n,
+        soft_error_share=int(batch.is_soft.sum()) / n,
     )
 
 

@@ -666,38 +666,10 @@ def _montecarlo_parts(query: ReliabilityQuery, tables: QueryTables):
     return sampler.sample_events(query.n_samples)
 
 
-def _montecarlo_result(
-    query: ReliabilityQuery,
-    tables: QueryTables,
-    restart_fractions: np.ndarray,
-    catastrophic: int,
-    soft: int,
-) -> QueryResult:
-    n = restart_fractions.size
-    return QueryResult(
-        metric="montecarlo",
-        clustering=tables.clustering.name,
-        values=(
-            ("n_samples", float(n)),
-            ("restart_fraction_mean", float(restart_fractions.mean())),
-            ("restart_fraction_p95", float(np.quantile(restart_fractions, 0.95))),
-            ("catastrophic_rate", catastrophic / n),
-            ("soft_error_share", soft / n),
-        ),
-    )
-
-
 def _run_montecarlo(
     query: ReliabilityQuery, tables: QueryTables
 ) -> QueryResult:
-    batch = _montecarlo_parts(query, tables)
-    fractions = tables.restart.batch_restart_fractions(batch)
-    catastrophic = int(
-        tables.model.events_are_catastrophic(tables.clustering, batch).sum()
-    )
-    return _montecarlo_result(
-        query, tables, fractions, catastrophic, int(batch.is_soft.sum())
-    )
+    return _run_coalesced([query], tables)[0]
 
 
 def _simulator(query: ReliabilityQuery, tables: QueryTables) -> CampaignSimulator:
@@ -868,10 +840,11 @@ def _concat_batches(batches):
 
 
 def _run_coalesced(queries, tables: QueryTables) -> list[QueryResult]:
-    """Score several same-table Monte-Carlo queries in one vectorized
-    pass. Each query draws its own event batch from its own seed; the
-    concatenated scoring is element-wise, so splitting the outputs back
-    per query is bit-identical to running each alone."""
+    """Score same-table Monte-Carlo queries in one vectorized pass (a
+    lone query is a batch of one). Each query draws its own event batch
+    from its own seed; the concatenated scoring is element-wise, so
+    splitting the outputs back per query is bit-identical to running each
+    alone."""
     batches = [_montecarlo_parts(q, tables) for q in queries]
     merged = _concat_batches(batches)
     fractions = tables.restart.batch_restart_fractions(merged)
@@ -880,19 +853,26 @@ def _run_coalesced(queries, tables: QueryTables) -> list[QueryResult]:
     )
     results = []
     offset = 0
-    for query, batch in zip(queries, batches):
+    for batch in batches:
         n = batch.n
         view = slice(offset, offset + n)
+        offset += n
         results.append(
-            _montecarlo_result(
-                query,
-                tables,
-                fractions[view],
-                int(catastrophic[view].sum()),
-                int(batch.is_soft.sum()),
+            QueryResult(
+                metric="montecarlo",
+                clustering=tables.clustering.name,
+                values=(
+                    ("n_samples", float(n)),
+                    ("restart_fraction_mean", float(fractions[view].mean())),
+                    (
+                        "restart_fraction_p95",
+                        float(np.quantile(fractions[view], 0.95)),
+                    ),
+                    ("catastrophic_rate", int(catastrophic[view].sum()) / n),
+                    ("soft_error_share", int(batch.is_soft.sum()) / n),
+                ),
             )
         )
-        offset += n
     return results
 
 

@@ -25,7 +25,8 @@ from repro.machine.machine import Machine
 from repro.machine.tsubame2 import reliability_study_machine, tsubame2_machine
 
 #: Partition-cost weights calibrated so the §V node graph yields the paper's
-#: 16 L1 clusters of 4 consecutive nodes (see DESIGN.md §5).
+#: 16 L1 clusters of 4 consecutive nodes (see the "Known deviations" block
+#: of ``docs/architecture.md``).
 PAPER_PARTITION_COST = PartitionCost(w_logging=1.0, w_restart=8.0)
 
 

@@ -34,16 +34,13 @@ the paper's 1024-rank scale — and evaluating an event batch afterwards is
 
 Reference path & invariants
 ---------------------------
-Like the simmpi fast paths (:mod:`repro.simmpi.collectives`), the batched
-evaluation keeps its slow reference in-tree: ``montecarlo_scores_scalar``
-walks every sampled event through the original per-event models, and the
-batched ``montecarlo_scores`` must agree with it seed for seed — same RNG
-streams, same per-event restart fractions and catastrophic verdicts — so
-the tables are an *encoding* of the models, never an approximation.
-``tests/core/test_eval_tables.py`` asserts the equivalence (plus table
-properties against brute-force recomputation). The scalar path is forced
-simply by calling it; there is no observer that silently changes which
-path runs.
+The tables are an *encoding* of the per-event models, never an
+approximation: ``tests/core/test_eval_tables.py`` checks every table
+against brute-force recomputation through the scalar predicates, and
+``tests/core/test_montecarlo.py`` keeps the original per-event
+sample-then-measure loop as a test-only reference that the batched
+``montecarlo_scores`` must agree with at a fixed seed. There is no
+observer that silently changes which path runs.
 """
 
 from __future__ import annotations

@@ -95,8 +95,9 @@ class EventBatch:
 class FailureTaxonomy:
     """Probabilistic shape of failure events.
 
-    Parameters (defaults calibrated in DESIGN.md §5 so Table II's
-    reliability column is reproduced):
+    Parameters (defaults calibrated so Table II's reliability column is
+    reproduced; see the "Known deviations" block of
+    ``docs/architecture.md``):
 
     p_soft:
         Probability a failure is a single-process soft error (0.05: the

@@ -15,17 +15,18 @@ every structure the paper points out in the zoomed matrix:
 * **power-of-two diagonals** — ``MPI_Allgather`` during FTI initialization,
   run over the full 1088-rank world communicator.
 
-The steady-state point-to-point loops are *wave-native* when the
-application config's ``mode`` posts waves (``WAVES`` / ``KERNELS``, the
-default): each repeated
-per-iteration pattern — the app's checkpoint-ready notification, the
-encoder's per-round readiness gather, each ring hop of the Reed–Solomon
-exchange — is compiled once into persistent requests and re-posted with
-``start_all`` / drained with ``waitall``, so a matching-point window costs
-two engine yields instead of one interaction per message. Posting order,
-matching stamps, traces and clocks are identical to the per-message
-reference (``mode=ExecutionMode.PER_MESSAGE`` on the simulation config
-pins it).
+Every repeated control pattern — the app's checkpoint-ready notice, the
+encoder's per-round readiness gather, one ring hop of the Reed–Solomon
+exchange — is described once, as an exchange recipe
+(:class:`repro.simmpi.Post` entries), exactly like the application's halo
+(:class:`repro.apps.stencil.HaloExchange`). One recipe, two drivers: the
+application config's ``mode`` decides (:func:`repro.apps.workload.runs_waves`)
+whether every recipe runs as a persistent-request wave (``WAVES`` /
+``KERNELS``: two engine yields per matching window) or message by message
+(``ExecutionMode.PER_MESSAGE``: ``isend`` / ``irecv``, then one ``wait``
+per receive). Posting order, matching stamps, traces and clocks are the
+same either way; the independent oracle is a fig5-shaped control loop
+written out by hand in the test suite.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.tsunami import TsunamiSimulation
+from repro.apps.workload import runs_kernels, runs_waves
 from repro.machine.placement import FTIPlacement
+from repro.simmpi.comm import Post
 from repro.simmpi.request import ANY_SOURCE
 from repro.util.validation import check_positive
 
@@ -87,9 +90,7 @@ def make_fti_world_programs(
     n_ckpts = len(
         [i for i in range(iterations) if i and i % cfg.checkpoint_every == 0]
     )
-    # Wave-native steady-state loops follow the application's mode so app
-    # halo waves and FTI control waves pin on/off together.
-    use_waves = sim.cfg.mode.use_waves
+    mode = sim.cfg.mode
 
     def app_program(ctx):
         comm = ctx.comm
@@ -100,59 +101,32 @@ def make_fti_world_programs(
         encoder_world = (
             placement.node_of_rank(ctx.rank) * placement.procs_per_node
         )
-        if use_waves:
-            # One persistent recipe for every checkpoint-ready message
-            # this rank will ever send (restarted once per checkpoint).
-            ready_start = comm.start_all_op(
-                (
-                    comm.send_init(
-                        None,
-                        dest=encoder_world,
-                        tag=_READY_TAG,
-                        nbytes=cfg.ready_message_bytes,
-                        kind="fti-ready",
-                    ),
-                )
-            )
+        # Checkpoint-ready notice: a small control message telling the
+        # node's encoder process that the local checkpoint is staged.
+        ready = (
+            Post(True, encoder_world, _READY_TAG, cfg.ready_message_bytes, "fti-ready"),
+        )
+        waves = runs_waves(mode, comm)
+        # Kernelized steady state: between checkpoint-ready sends the app
+        # loop is the tsunami steady loop, so each segment goes to its
+        # KernelLoop emitter (chunked further at allreduce boundaries).
+        kernels = runs_kernels(sim.cfg, app_comm)
         state = {"iteration": 0} if sim.cfg.synthetic else sim.make_rank_state(
             app_comm.rank
         )
-        if (
-            sim.cfg.synthetic
-            and sim.cfg.mode.use_kernels
-            and getattr(app_comm, "supports_waves", False)
-        ):
-            # Kernelized steady state: between checkpoint-ready sends the
-            # app loop is the tsunami steady loop, so hand each segment to
-            # its KernelLoop emitter (chunked further at allreduce
-            # boundaries). Same messages, traces and clocks either way.
-            while state["iteration"] < iterations:
-                iteration = state["iteration"]
-                if iteration and iteration % cfg.checkpoint_every == 0:
-                    yield ready_start
+        while state["iteration"] < iterations:
+            iteration = state["iteration"]
+            if iteration and iteration % cfg.checkpoint_every == 0:
+                yield from comm.exchange(ready, waves=waves)
+            if kernels:
                 boundary = iteration + cfg.checkpoint_every - (
                     iteration % cfg.checkpoint_every
                 )
                 yield from sim._kernel_program(
                     app_comm, state, min(boundary, iterations)
                 )
-            return state
-        while state["iteration"] < iterations:
-            iteration = state["iteration"]
-            if iteration and iteration % cfg.checkpoint_every == 0:
-                # Notify the node's encoder process that the local
-                # checkpoint is staged (small control message).
-                if use_waves:
-                    yield ready_start
-                else:
-                    yield from comm.isend(
-                        None,
-                        dest=encoder_world,
-                        tag=_READY_TAG,
-                        nbytes=cfg.ready_message_bytes,
-                        kind="fti-ready",
-                    )
-            yield from sim.step(app_comm, state)
+            else:
+                yield from sim.step(app_comm, state)
         return state
 
     def encoder_program(ctx):
@@ -177,66 +151,23 @@ def make_fti_world_programs(
         chunk //= max(1, ring_size)
         right = enc_world[(ring_index + 1) % ring_size]
         left = enc_world[(ring_index - 1) % ring_size]
-        if use_waves and n_ckpts:
-            # The readiness gather of one round, compiled once: the same
-            # wildcard receives restart every checkpoint (posting order
-            # and stamps identical to the sequential irecv loop below).
-            ready_recvs = tuple(
-                comm.recv_init(source=ANY_SOURCE, tag=_READY_TAG)
-                for _ in range(placement.app_per_node)
-            )
-            ready_start = comm.start_all_op(ready_recvs)
-            ready_drain = comm.waitall_op(ready_recvs)
-            if ring_size > 1:
-                # One ring hop (send right, receive left), restarted
-                # ring_size - 1 times per round — the hop stays a
-                # sequential pipeline stage exactly like the per-message
-                # loop, so the modeled ring timing is unchanged.
-                ring_recv = comm.recv_init(source=left, tag=_RING_TAG)
-                ring_start = comm.start_all_op(
-                    (
-                        comm.send_init(
-                            None,
-                            dest=right,
-                            tag=_RING_TAG,
-                            nbytes=chunk,
-                            kind="fti-encode",
-                        ),
-                        ring_recv,
-                    )
-                )
-                ring_drain = comm.waitall_op((ring_recv,))
+        # The readiness gather posts the whole node's wildcard receives up
+        # front, then drains: the notices arrive in whatever order the app
+        # ranks reach the checkpoint, and batching the posts keeps the
+        # engine on its O(1) per-channel matching instead of re-entering
+        # the wildcard scan once per message.
+        gather = (Post(False, ANY_SOURCE, _READY_TAG),) * placement.app_per_node
+        # One ring hop (send right, receive left), run ring_size - 1 times
+        # per round: each hop stays a sequential pipeline stage.
+        hop = (
+            Post(True, right, _RING_TAG, chunk, "fti-encode"),
+            Post(False, left, _RING_TAG),
+        )
+        waves = runs_waves(mode, comm)
         for _ in range(n_ckpts):
-            # Post the whole node's readiness receives up front, then drain:
-            # the ready notifications arrive in whatever order the app ranks
-            # reach the checkpoint, and batching the posts keeps the engine
-            # on its O(1) per-channel matching instead of re-entering the
-            # wildcard scan once per message.
-            if use_waves:
-                yield ready_start
-                yield ready_drain
-            else:
-                ready = []
-                for _ in range(placement.app_per_node):
-                    req = yield from comm.irecv(
-                        source=ANY_SOURCE, tag=_READY_TAG
-                    )
-                    ready.append(req)
-                yield from comm.waitall(ready)
-            if ring_size > 1:
-                for _ in range(ring_size - 1):
-                    if use_waves:
-                        yield ring_start
-                        yield ring_drain
-                    else:
-                        yield from comm.isend(
-                            None,
-                            dest=right,
-                            tag=_RING_TAG,
-                            nbytes=chunk,
-                            kind="fti-encode",
-                        )
-                        yield from comm.recv(source=left, tag=_RING_TAG)
+            yield from comm.exchange(gather, waves=waves)
+            for _ in range(ring_size - 1):
+                yield from comm.exchange(hop, waves=waves)
         return {"node": node, "checkpoints": n_ckpts}
 
     programs = []

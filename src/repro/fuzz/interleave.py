@@ -97,37 +97,31 @@ def build_world(spec: InterleavingSpec):
     if spec.workload == "race-demo":
         return _race_demo_program, 3, None
 
-    import numpy as np
-
-    from repro.apps.tsunami import TsunamiConfig, TsunamiSimulation
-    from repro.apps.workload import ExecutionMode
-    from repro.ftilib.tracesim import FTITraceConfig, make_fti_world_programs
-    from repro.machine.placement import FTIPlacement
+    from repro.apps.workload import (
+        ExecutionMode,
+        FTIWorkload,
+        fig5_workload,
+        with_mode,
+    )
     from repro.machine.tsubame2 import tsubame2_fti_machine
 
-    n_app = spec.nodes * spec.app_per_node
-    px = int(np.sqrt(n_app))
-    py = n_app // px
-    cfg = TsunamiConfig(
-        px=px,
-        py=py,
-        nx=32 * px,
-        ny=32 * py,
+    base = fig5_workload(
+        nodes=spec.nodes,
+        app_per_node=spec.app_per_node,
         iterations=spec.iterations,
-        synthetic=True,
-        allreduce_every=0,
-        mode=ExecutionMode.WAVES,
+        checkpoint_every=spec.checkpoint_every,
     )
-    sim = TsunamiSimulation(cfg)
-    placement = FTIPlacement(spec.nodes, spec.app_per_node)
-    programs = make_fti_world_programs(
-        sim,
-        placement,
-        iterations=spec.iterations,
-        trace_cfg=FTITraceConfig(checkpoint_every=spec.checkpoint_every),
+    # WAVES keeps the canonical run interpreted like every explored one
+    # (a non-canonical schedule deopts the kernels anyway).
+    workload = FTIWorkload(
+        with_mode(base.sim_cfg, ExecutionMode.WAVES),
+        nodes=base.nodes,
+        app_per_node=base.app_per_node,
+        iterations=base.iterations,
+        trace_cfg=base.trace_cfg,
     )
     network = tsubame2_fti_machine(spec.nodes, spec.app_per_node).network
-    return programs, placement.nranks, network
+    return workload.build_programs(), workload.nranks, network
 
 
 @dataclass(frozen=True)

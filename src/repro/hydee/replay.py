@@ -23,7 +23,7 @@ from typing import Any
 from repro.hydee.logging import LogEntry, ReplayCursor
 from repro.simmpi.comm import Communicator
 from repro.simmpi.engine import RankContext
-from repro.simmpi.request import ANY_SOURCE, ANY_TAG, Request
+from repro.simmpi.request import ANY_SOURCE, ANY_TAG, Request, capture_payload
 
 
 class _ServedRequest(Request):
@@ -81,11 +81,11 @@ class ReplayCommunicator(Communicator):
         collective tags match the logged ones exactly.
     """
 
-    #: Wave-native applications must not compile persistent waves during
-    #: replay: starts would bypass log serving and send suppression. The
-    #: apps check this flag and fall back to the per-message exchange,
-    #: which posts exactly the messages the original (wave or per-message)
-    #: run logged — waves and per-message sequences are one workload.
+    #: Replay refuses persistent requests (starts would bypass log serving
+    #: and send suppression), so apps run their exchange recipes through
+    #: the per-message driver here (:func:`repro.apps.workload.runs_waves`).
+    #: That driver posts exactly the messages the original run logged,
+    #: whichever driver the original run used: one recipe, two drivers.
     supports_waves = False
 
     def __init__(
@@ -155,7 +155,8 @@ class ReplayCommunicator(Communicator):
                 src=self._original_rank,
                 dst=dest,
                 tag=tag,
-                payload=obj,
+                # Buffered-send semantics: the app may repack its buffer.
+                payload=capture_payload(obj),
                 nbytes=int(size),
             )
         )

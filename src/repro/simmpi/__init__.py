@@ -9,7 +9,7 @@ message is byte-accurately recorded by
 :class:`~repro.simmpi.tracing.TraceRecorder`.
 """
 
-from repro.simmpi.comm import Communicator
+from repro.simmpi.comm import Communicator, Post
 from repro.simmpi.config import EngineConfig
 from repro.simmpi.engine import Engine, KernelLoop, RankContext, run_program
 from repro.simmpi.reference import ReferenceEngine
@@ -50,6 +50,7 @@ __all__ = [
     "NetworkModel",
     "PersistentRecvRequest",
     "PersistentSendRequest",
+    "Post",
     "RankContext",
     "RankFailedError",
     "ReferenceEngine",

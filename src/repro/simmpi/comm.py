@@ -19,11 +19,25 @@ API (:meth:`Communicator.send_init` / :meth:`Communicator.recv_init` /
 requests is described once and re-posted each iteration through a single
 engine interaction, with matching, pricing, traces and clocks identical to
 the equivalent ``isend``/``irecv``/``wait`` sequence.
+
+Exchange recipes: one description, two drivers
+----------------------------------------------
+A repeated pattern (a halo exchange, a transpose round, a control-message
+gather) is described once as an *exchange recipe*: a tuple of
+:class:`Post` entries in posting order. :meth:`Communicator.exchange` runs
+a recipe with either driver — the *wave driver* (the recipe compiled
+lazily into persistent requests plus one reusable ``StartAll`` /
+``WaitAll`` pair, cached on the communicator: :meth:`Communicator.wave`)
+or the *per-message driver* (``isend`` / ``irecv`` in recipe order, then
+one ``wait`` per receive). Both post the same messages in the same order,
+so matching stamps, traces and clocks are identical; a communicator that
+refuses persistent requests (``supports_waves`` false) only ever runs the
+per-message driver and never sees one.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.simmpi import collectives as coll
 from repro.simmpi.engine import (
@@ -54,6 +68,25 @@ COLL_TAG_BASE: int = 1 << 30
 _COLL_TAG_MOD: int = 1 << 20
 
 
+class Post(NamedTuple):
+    """One entry of an exchange recipe (see :meth:`Communicator.exchange`).
+
+    A send (``send=True``) to rank ``peer`` carries ``nbytes`` bytes of
+    trace kind ``kind``; ``buffer`` is its payload (``None`` for
+    byte-count-only traffic), which the recipe's owner may repack in place
+    between runs — both drivers snapshot it at posting time. A receive
+    (``send=False``) uses ``peer`` (a rank or ``ANY_SOURCE``) and ``tag``
+    only.
+    """
+
+    send: bool
+    peer: int
+    tag: int
+    nbytes: int = 0
+    kind: str = "p2p"
+    buffer: Any = None
+
+
 class Communicator:
     """A group of ranks with isolated point-to-point matching.
 
@@ -61,12 +94,12 @@ class Communicator:
     :meth:`split`; application code never constructs one directly.
     """
 
-    #: Whether the persistent-request wave API (``send_init`` /
-    #: ``recv_init`` / ``start_all`` / ``waitall``) is available on this
-    #: communicator. Wave-native applications check this before compiling
-    #: their steady-state waves; the HydEE replay communicator overrides it
-    #: to ``False`` so replay windows transparently fall back to the
-    #: per-message exchange (whose messages are what the log serves).
+    #: Whether the persistent-request API (``send_init`` / ``recv_init`` /
+    #: ``start_all`` / ``waitall``), and with it the wave driver of
+    #: :meth:`exchange`, is available on this communicator. The HydEE
+    #: replay communicator overrides it to ``False``: a replay window runs
+    #: the same exchange recipes through the per-message driver, whose
+    #: messages are what the log serves.
     supports_waves: bool = True
 
     def __init__(self, ctx: RankContext, comm_id: int, group: Sequence[int]):
@@ -84,6 +117,7 @@ class Communicator:
         self._split_seq = 0
         self._group_ok: bool | None = None  # cached fast-path membership check
         self._start_ops: dict[int, StartAll] = {}  # start_all's op cache
+        self._waves: dict[int, tuple] = {}  # wave()'s compiled recipes
 
     # -- construction -------------------------------------------------------
 
@@ -289,6 +323,60 @@ class Communicator:
         """Prebuild a reusable ``WaitAll`` op (see :meth:`start_all_op`);
         yielding it returns the ordered payload list."""
         return WaitAll(tuple(requests))
+
+    # -- exchange recipes (one description, two drivers) ---------------------
+
+    def wave(self, recipe: tuple[Post, ...]) -> tuple[StartAll, WaitAll]:
+        """The wave driver's ``(start, drain)`` ops for ``recipe``.
+
+        Compiled on first use: every post becomes a persistent request in
+        recipe order, wrapped in one ``StartAll`` and one ``WaitAll`` over
+        the receives. The ops are cached on this communicator by recipe
+        identity (the entry holds the tuple, so a recycled ``id`` cannot
+        alias), so pass the same tuple every time. A steady loop may hand
+        them to a :class:`~repro.simmpi.engine.KernelLoop`.
+        """
+        entry = self._waves.get(id(recipe))
+        if entry is None or entry[0] is not recipe:
+            requests, recvs = [], []
+            for p in recipe:
+                if p.send:
+                    req = self.send_init(p.buffer, p.peer, p.tag, nbytes=p.nbytes, kind=p.kind)
+                else:
+                    req = self.recv_init(p.peer, p.tag)
+                    recvs.append(req)
+                requests.append(req)
+            entry = self._waves[id(recipe)] = (
+                recipe,
+                StartAll(tuple(requests)),
+                WaitAll(tuple(recvs)),
+            )
+        return entry[1], entry[2]
+
+    def exchange(self, recipe: tuple[Post, ...], *, waves: bool):
+        """Run ``recipe`` once; returns the received payloads in recipe order.
+
+        ``waves=True`` yields the compiled wave (:meth:`wave`): one engine
+        interaction to post it and, when it has receives, one to drain
+        them. ``waves=False`` is the per-message driver: ``isend`` /
+        ``irecv`` in recipe order, then one ``wait`` per receive. Both post
+        identical messages in identical order, so stamps, traces and clocks
+        agree.
+        """
+        if waves:
+            start, drain = self.wave(recipe)
+            yield start
+            return (yield drain) if drain.requests else []
+        recvs = []
+        for p in recipe:
+            if p.send:
+                yield from self.isend(p.buffer, p.peer, p.tag, nbytes=p.nbytes, kind=p.kind)
+            else:
+                recvs.append((yield from self.irecv(p.peer, p.tag)))
+        payloads = []
+        for req in recvs:
+            payloads.append((yield from self.wait(req)))
+        return payloads
 
     def collective_windows_ok(self) -> bool:
         """Whether prebuilt collective ops may be attached to a

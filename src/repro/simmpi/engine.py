@@ -104,9 +104,10 @@ per rank instead of roughly three per message, while posting order, message
 matching, pricing and tracing stay exactly those of the equivalent
 ``isend`` / ``irecv`` / ``wait`` sequence (the equivalence suite pins
 traces, clocks and results against the per-message program). All traced
-workloads speak this shape by default (``use_waves`` on the app
-configs); re-arming is restart-safe — a start refuses a receive still in
-flight or matched-but-never-drained — and failure injection sees waves
+workloads speak this shape by default (the wave driver of
+``Communicator.exchange``, chosen by the app config's ``mode``);
+re-arming is restart-safe — a start refuses a receive still in flight
+or matched-but-never-drained — and failure injection sees waves
 and per-message sequences identically (a dropped start posts nothing,
 exactly like a crash before the first ``isend`` of the equivalent
 sequence).
@@ -319,7 +320,8 @@ class RankContext:
         Local virtual time in seconds (mutated by the engine and by
         :meth:`advance`).
     comm:
-        The world communicator (set by the engine before the program runs).
+        The world communicator (set by the engine before the program runs,
+        ``None`` once the run has finished).
     engine:
         The :class:`Engine` executing this rank while its run is live, and
         ``None`` once that run has finished — normally, by deadlock or by a
@@ -942,11 +944,18 @@ class Engine:
         frees the engine, its tracer and its message pool by reference
         counting (and finalizes a deadlocked or crashed run's suspended
         generators) instead of leaving them to the next full collection.
-        Shared with the sharded engine's shards; idempotent.
+        Dropping ``ctx.comm`` and ``ctx.user`` severs the other cycle a
+        run builds, context ↔ communicator (every communicator points back
+        at its context, and apps cache compiled exchanges in both), so the
+        communicators and everything cached on them die by reference
+        counting too. Shared with the sharded engine's shards; idempotent.
         """
         for state in self._states:
             if state is not None:
-                state.ctx.engine = None
+                ctx = state.ctx
+                ctx.engine = None
+                ctx.comm = None
+                ctx.user = {}
 
     def _describe_blocked(self, state: _RankState) -> str:
         """Deadlock attribution for one blocked rank.

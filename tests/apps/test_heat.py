@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.apps import HeatConfig, HeatSimulation
+from repro.apps import HeatConfig, HeatSimulation, heat_step
+from repro.apps.workload import ExecutionMode, with_mode
 from repro.simmpi import Engine, TraceRecorder, run_program
 
-from networks import two_level_network  # tests/simmpi, on pytest's pythonpath
+# tests/simmpi, on pytest's pythonpath
+from networks import assert_runs_equal, hand_halo_exchange, run_engine
 
 
 def small_cfg(**kw):
@@ -80,30 +82,36 @@ class TestParallelEquivalence:
         assert seen == [0, 1, 2]
 
 
+def hand_heat_program(cfg: HeatConfig):
+    """The heat loop written out by hand: hand-written halo, then the
+    Jacobi update (the oracle every execution mode must match)."""
+    sim = HeatSimulation(cfg)
+
+    def program(ctx):
+        state = {"iteration": 0} if cfg.synthetic else sim.make_rank_state(ctx.rank)
+        for _ in range(cfg.iterations):
+            fields = None if cfg.synthetic else [state["t"]]
+            yield from hand_halo_exchange(ctx.comm, cfg.grid, fields)
+            if fields is not None:
+                state["t"][1:-1, 1:-1] = heat_step(state["t"], cfg.alpha)
+            state["iteration"] += 1
+        return state
+
+    return program
+
+
 class TestWaveEquivalence:
     @pytest.mark.parametrize("synthetic", [False, True])
     def test_wave_matches_per_message(self, synthetic):
-        from repro.apps.workload import ExecutionMode, with_mode
-
+        """Every mode equals the hand-written loop: results, traces and
+        clocks (kernels run only on the synthetic config)."""
         cfg = HeatConfig(
             px=2, py=2, nx=8, ny=8, iterations=6, synthetic=synthetic
         )
-        runs = {}
+        ref = run_engine(hand_heat_program(cfg), 4)
+        assert max(ref["clocks"]) > 0
         for mode in ExecutionMode:
-            sim = HeatSimulation(with_mode(cfg, mode))
-            tracer = TraceRecorder(4, by_kind=True)
-            engine = Engine(4, network=two_level_network(), tracer=tracer)
-            states = engine.run(sim.make_program())
-            runs[mode] = (states, engine.rank_times(), tracer)
-        ref = runs.pop(ExecutionMode.PER_MESSAGE)
-        assert max(ref[1]) > 0
-        for waved in runs.values():
-            assert ref[1] == waved[1]
-            np.testing.assert_array_equal(
-                ref[2].bytes_matrix, waved[2].bytes_matrix
-            )
-            if not synthetic:
-                for ref_state, wave_state in zip(ref[0], waved[0]):
-                    np.testing.assert_array_equal(
-                        ref_state["t"], wave_state["t"]
-                    )
+            got = run_engine(HeatSimulation(with_mode(cfg, mode)).make_program(), 4)
+            assert_runs_equal(ref, got, mode.value)
+            kernelled = mode is ExecutionMode.KERNELS and synthetic
+            assert (got["engine"].kernel_runs > 0) == kernelled

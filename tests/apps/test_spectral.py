@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.apps import SpectralConfig, SpectralSimulation
+from repro.apps.workload import ExecutionMode, with_mode
 from repro.clustering import consecutive_clustering
 from repro.commgraph import graph_from_trace
 from repro.simmpi import Engine, TraceRecorder, run_program
 
-from networks import two_level_network  # tests/simmpi, on pytest's pythonpath
+from networks import assert_runs_equal, run_engine  # tests/simmpi, on pytest's pythonpath
 
 
 def small_cfg(**kw):
@@ -102,27 +103,38 @@ class TestAllToAllDefeatsClustering:
         np.testing.assert_array_equal(real.matrix, synth.matrix)
 
 
+def hand_transpose_program(cfg: SpectralConfig):
+    """The synthetic spectral loop written out by hand: two pairwise
+    all-to-all rounds per iteration, each posting every send and
+    explicit-source receive before waiting on the receives in order."""
+
+    def program(ctx):
+        comm = ctx.comm
+        for _ in range(2 * cfg.iterations):
+            recvs = []
+            for step in range(1, comm.size):
+                yield from comm.isend(
+                    None, dest=(comm.rank + step) % comm.size, tag=777,
+                    nbytes=cfg.block_bytes, kind="transpose",
+                )
+                recvs.append(
+                    (yield from comm.irecv(source=(comm.rank - step) % comm.size, tag=777))
+                )
+            for req in recvs:
+                yield from comm.wait(req)
+        return {"iteration": cfg.iterations}
+
+    return program
+
+
 class TestWaveEquivalence:
     def test_synthetic_wave_matches_per_message(self):
-        """Both transpose paths share the post-all-then-drain structure,
-        so stamps, traces and clocks are identical."""
-        from repro.apps.workload import ExecutionMode, with_mode
-
+        """Every mode equals the hand-written transpose loop: results,
+        traces and clocks."""
         cfg = small_cfg(nranks=8, n=16, iterations=3, synthetic=True)
-        runs = {}
+        ref = run_engine(hand_transpose_program(cfg), 8)
+        assert max(ref["clocks"]) > 0
         for mode in ExecutionMode:
-            sim = SpectralSimulation(with_mode(cfg, mode))
-            tracer = TraceRecorder(8, by_kind=True)
-            engine = Engine(8, network=two_level_network(), tracer=tracer)
-            engine.run(sim.make_program())
-            runs[mode] = (engine.rank_times(), tracer)
-        ref_clocks, ref_tracer = runs.pop(ExecutionMode.PER_MESSAGE)
-        assert max(ref_clocks) > 0
-        for clocks, tracer in runs.values():
-            assert ref_clocks == clocks
-            np.testing.assert_array_equal(
-                ref_tracer.bytes_matrix, tracer.bytes_matrix
-            )
-            np.testing.assert_array_equal(
-                ref_tracer.count_matrix, tracer.count_matrix
-            )
+            got = run_engine(SpectralSimulation(with_mode(cfg, mode)).make_program(), 8)
+            assert_runs_equal(ref, got, mode.value)
+            assert (got["engine"].kernel_runs > 0) == (mode is ExecutionMode.KERNELS)

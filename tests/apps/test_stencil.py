@@ -1,13 +1,22 @@
-"""Process-grid and halo-exchange tests."""
+"""Process-grid and halo-exchange tests.
+
+The halo recipe (:class:`repro.apps.stencil.HaloExchange`) runs under two
+drivers; both, and the kernel loop over its wave, are checked against
+``hand_halo_exchange``, the exchange written out by hand with ``isend`` /
+``irecv`` / ``wait``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.apps import ProcessGrid, halo_exchange, synthetic_halo_exchange
-from repro.apps.stencil import HaloWave
-from repro.simmpi import Engine, TraceRecorder, run_program
+from repro.apps import HaloExchange, ProcessGrid
+from repro.simmpi import Engine, KernelLoop, TraceRecorder, run_program
+
+from networks import assert_runs_equal, hand_halo_exchange, run_engine
+
+DRIVERS = (False, True)  # waves=False: per-message driver; True: wave driver
 
 
 class TestProcessGrid:
@@ -74,7 +83,7 @@ class TestProcessGrid:
 
 
 class TestHaloExchange:
-    def _run_exchange(self, px, py, nfields=1):
+    def _run_exchange(self, px, py, nfields=1, *, waves):
         g = ProcessGrid(px, py, px * 3, py * 3)
 
         def program(ctx):
@@ -83,45 +92,45 @@ class TestHaloExchange:
                 np.full((g.tile_ny + 2, g.tile_nx + 2), float(ctx.rank * 10 + k))
                 for k in range(nfields)
             ]
-            yield from halo_exchange(comm, g, fields)
+            yield from HaloExchange(comm, g, fields).run(waves)
             return fields
 
         return g, run_program(program, g.nranks)
 
     def test_ghosts_carry_neighbor_values(self):
-        g, results = self._run_exchange(3, 3)
-        center = 4
-        fields = results[center]
-        n, e, s, w = g.neighbors_of(center)
-        f = fields[0]
-        assert np.all(f[0, 1:-1] == n * 10)
-        assert np.all(f[-1, 1:-1] == s * 10)
-        assert np.all(f[1:-1, 0] == w * 10)
-        assert np.all(f[1:-1, -1] == e * 10)
+        for waves in DRIVERS:
+            g, results = self._run_exchange(3, 3, waves=waves)
+            center = 4
+            fields = results[center]
+            n, e, s, w = g.neighbors_of(center)
+            f = fields[0]
+            assert np.all(f[0, 1:-1] == n * 10)
+            assert np.all(f[-1, 1:-1] == s * 10)
+            assert np.all(f[1:-1, 0] == w * 10)
+            assert np.all(f[1:-1, -1] == e * 10)
 
     def test_physical_ghosts_untouched(self):
-        g, results = self._run_exchange(2, 2)
-        corner = results[0][0]  # rank 0: north & west are walls
-        assert np.all(corner[0, 1:-1] == 0.0 * 10)  # still its own value
-        # rank 0's field was filled with 0.0 everywhere, so check rank 3:
-        g, results = self._run_exchange(2, 2)
-        f3 = results[3][0]
-        assert np.all(f3[-1, 1:-1] == 30.0)  # south wall: unchanged own value
+        for waves in DRIVERS:
+            g, results = self._run_exchange(2, 2, waves=waves)
+            f3 = results[3][0]
+            assert np.all(f3[-1, 1:-1] == 30.0)  # south wall: unchanged own value
+            assert np.all(f3[1:-1, -1] == 30.0)  # east wall too
 
     def test_multi_field_packing(self):
-        g, results = self._run_exchange(2, 1, nfields=3)
-        f = results[0]
-        # East ghost of rank 0 comes from rank 1's fields 10, 11, 12.
-        for k in range(3):
-            assert np.all(f[k][1:-1, -1] == 10.0 + k)
+        for waves in DRIVERS:
+            g, results = self._run_exchange(2, 1, nfields=3, waves=waves)
+            f = results[0]
+            # East ghost of rank 0 comes from rank 1's fields 10, 11, 12.
+            for k in range(3):
+                assert np.all(f[k][1:-1, -1] == 10.0 + k)
 
     def test_wrong_field_shape_raises(self):
         g = ProcessGrid(2, 1, 4, 2)
 
         def program(ctx):
-            bad = [np.zeros((3, 3))]
-            yield from halo_exchange(ctx.comm, g, bad)
-            return None
+            HaloExchange(ctx.comm, g, [np.zeros((3, 3))])
+            if False:
+                yield
 
         with pytest.raises(ValueError):
             run_program(program, 2)
@@ -134,11 +143,11 @@ class TestSyntheticHalo:
 
         def real_program(ctx):
             fields = [np.zeros((g.tile_ny + 2, g.tile_nx + 2)) for _ in range(2)]
-            yield from halo_exchange(ctx.comm, g, fields)
+            yield from HaloExchange(ctx.comm, g, fields).run(True)
             return None
 
         def synth_program(ctx):
-            yield from synthetic_halo_exchange(ctx.comm, g, nfields=2)
+            yield from HaloExchange(ctx.comm, g, nfields=2).run(True)
             return None
 
         t_real = TraceRecorder(g.nranks)
@@ -152,121 +161,130 @@ class TestSyntheticHalo:
         tracer = TraceRecorder(g.nranks)
 
         def program(ctx):
-            yield from synthetic_halo_exchange(ctx.comm, g, nfields=1)
+            yield from HaloExchange(ctx.comm, g).run(True)
             return None
 
         Engine(g.nranks, tracer=tracer).run(program)
+        bytes_matrix = tracer.bytes_matrix
         for dst in range(g.nranks):
             for src in range(g.nranks):
-                if tracer.bytes_matrix[dst, src] > 0:
+                if bytes_matrix[dst, src] > 0:
                     assert dst in [
                         x for x in g.neighbors_of(src) if x is not None
                     ]
 
 
+def _tiles(g, ctx, nfields=2):
+    return [
+        np.full((g.tile_ny + 2, g.tile_nx + 2), float(ctx.rank + k))
+        for k in range(nfields)
+    ]
+
+
 class TestHaloWave:
-    """Compiled persistent halo waves vs the per-message exchange."""
-
-    def _two_level_network(self):
-        from repro.simmpi.network import LinkParameters, NetworkModel
-
-        return NetworkModel(
-            intra_node=LinkParameters(5e-7, 6.0e9),
-            inter_node=LinkParameters(2e-6, 8.0e9),
-            locator=lambda rank: rank // 4,
-        )
+    """The halo recipe under both drivers vs the hand-written oracle."""
 
     def test_real_payload_wave_matches_per_message(self):
-        """Same fields, traces and clocks as halo_exchange over several
-        iterations of an in-place mutating stencil update."""
+        """Same fields, traces and clocks as the hand-written exchange over
+        several iterations of an in-place mutating stencil update (the pack
+        buffers are reused, so a missed snapshot would show here)."""
         g = ProcessGrid(3, 3, 9, 9)
 
-        def permsg_program(ctx):
-            fields = [
-                np.full((g.tile_ny + 2, g.tile_nx + 2), float(ctx.rank + k))
-                for k in range(2)
-            ]
+        def oracle(ctx):
+            fields = _tiles(g, ctx)
             for it in range(4):
-                yield from halo_exchange(ctx.comm, g, fields)
+                yield from hand_halo_exchange(ctx.comm, g, fields)
                 for f in fields:
                     f[1:-1, 1:-1] += 0.5 * it  # mutate in place between waves
             return fields
 
-        def wave_program(ctx):
-            fields = [
-                np.full((g.tile_ny + 2, g.tile_nx + 2), float(ctx.rank + k))
-                for k in range(2)
-            ]
-            wave = HaloWave(ctx.comm, g, fields)
-            for it in range(4):
-                yield from wave.exchange()
-                for f in fields:
-                    f[1:-1, 1:-1] += 0.5 * it
-            return fields
+        def recipe(waves):
+            def program(ctx):
+                fields = _tiles(g, ctx)
+                halo = HaloExchange(ctx.comm, g, fields)
+                for it in range(4):
+                    yield from halo.run(waves)
+                    for f in fields:
+                        f[1:-1, 1:-1] += 0.5 * it
+                return fields
 
-        runs = {}
-        for name, program in (("permsg", permsg_program), ("wave", wave_program)):
-            tracer = TraceRecorder(g.nranks, by_kind=True)
-            engine = Engine(g.nranks, network=self._two_level_network(), tracer=tracer)
-            results = engine.run(program)
-            runs[name] = (results, engine.rank_times(), tracer)
-        ref_results, ref_clocks, ref_tracer = runs["permsg"]
-        wave_results, wave_clocks, wave_tracer = runs["wave"]
-        assert ref_clocks == wave_clocks
-        np.testing.assert_array_equal(
-            ref_tracer.bytes_matrix, wave_tracer.bytes_matrix
-        )
-        np.testing.assert_array_equal(
-            ref_tracer.count_matrix, wave_tracer.count_matrix
-        )
-        for ref_fields, wave_fields in zip(ref_results, wave_results):
-            for rf, wf in zip(ref_fields, wave_fields):
-                np.testing.assert_array_equal(rf, wf)
+            return program
+
+        ref = run_engine(oracle, g.nranks)
+        assert max(ref["clocks"]) > 0
+        for waves in DRIVERS:
+            assert_runs_equal(ref, run_engine(recipe(waves), g.nranks), f"waves={waves}")
 
     def test_synthetic_wave_matches_synthetic_exchange(self):
+        """Both drivers and the kernel loop over the recipe's wave match
+        the hand-written synthetic exchange."""
         g = ProcessGrid(4, 2, 8, 8)
 
-        def permsg_program(ctx):
+        def oracle(ctx):
             for _ in range(3):
-                yield from synthetic_halo_exchange(ctx.comm, g, nfields=3)
+                yield from hand_halo_exchange(ctx.comm, g, nfields=3)
             return ctx.now
 
-        def wave_program(ctx):
-            wave = HaloWave(ctx.comm, g, None, nfields=3)
-            for _ in range(3):
-                yield wave.start_op
-                yield wave.drain_op
+        def recipe(waves):
+            def program(ctx):
+                halo = HaloExchange(ctx.comm, g, nfields=3)
+                for _ in range(3):
+                    yield from halo.run(waves)
+                return ctx.now
+
+            return program
+
+        def kernel(ctx):
+            halo = HaloExchange(ctx.comm, g, nfields=3)
+            yield KernelLoop(*ctx.comm.wave(halo.recipe), 3)
             return ctx.now
 
-        runs = {}
-        for name, program in (("permsg", permsg_program), ("wave", wave_program)):
-            tracer = TraceRecorder(g.nranks)
-            engine = Engine(g.nranks, network=self._two_level_network(), tracer=tracer)
-            results = engine.run(program)
-            runs[name] = (results, tracer.bytes_matrix)
-        assert runs["permsg"][0] == runs["wave"][0]
-        np.testing.assert_array_equal(runs["permsg"][1], runs["wave"][1])
+        ref = run_engine(oracle, g.nranks)
+        assert max(ref["clocks"]) > 0
+        for waves in DRIVERS:
+            assert_runs_equal(ref, run_engine(recipe(waves), g.nranks), f"waves={waves}")
+        kernelled = run_engine(kernel, g.nranks)
+        assert_runs_equal(ref, kernelled, "kernel loop")
+        assert kernelled["engine"].kernel_iterations == 3
 
     def test_single_rank_wave_is_empty_noop(self):
-        """A 1x1 grid has four walls: the wave compiles empty and the
-        start/drain ops are harmless no-ops."""
+        """A 1x1 grid has four walls: the recipe is empty and both drivers
+        are harmless no-ops."""
         g = ProcessGrid(1, 1, 4, 4)
 
         def program(ctx):
-            wave = HaloWave(ctx.comm, g, None, nfields=1)
-            yield wave.start_op
-            payloads = yield wave.drain_op
-            return payloads
+            halo = HaloExchange(ctx.comm, g)
+            assert halo.recipe == ()
+            wave = yield from halo.comm.exchange(halo.recipe, waves=True)
+            permsg = yield from halo.comm.exchange(halo.recipe, waves=False)
+            return wave, permsg
 
-        assert run_program(program, 1) == [[]]
+        assert run_program(program, 1) == [([], [])]
 
     def test_wrong_field_shape_raises(self):
         g = ProcessGrid(2, 1, 4, 2)
 
         def program(ctx):
-            HaloWave(ctx.comm, g, [np.zeros((3, 3))])
+            HaloExchange.cached(ctx.comm, g, [np.zeros((3, 3))])
             if False:
                 yield
 
         with pytest.raises(ValueError):
             run_program(program, 2)
+
+    def test_cached_rebinds_to_new_fields(self):
+        """The cache hands back the same recipe while the bound arrays are
+        the same objects and rebuilds it when they change."""
+        g = ProcessGrid(2, 1, 4, 2)
+
+        def program(ctx):
+            fields = _tiles(g, ctx)
+            first = HaloExchange.cached(ctx.comm, g, fields)
+            assert HaloExchange.cached(ctx.comm, g, list(fields)) is first
+            other = HaloExchange.cached(ctx.comm, g, _tiles(g, ctx))
+            assert other is not first
+            assert HaloExchange.cached(ctx.comm, g, nfields=2) is not other
+            if False:
+                yield
+
+        run_program(program, 2)

@@ -6,12 +6,17 @@ import pytest
 from repro.apps import (
     TsunamiConfig,
     TsunamiSimulation,
+    fill_physical_ghosts,
     initial_eta,
     paper_tsunami_config,
+    swe_step,
 )
+from repro.apps.workload import ExecutionMode, with_mode
 from repro.simmpi import Engine, TraceRecorder, run_program
+from repro.simmpi.collectives import max_op
 
-from networks import two_level_network  # tests/simmpi, on pytest's pythonpath
+# tests/simmpi, on pytest's pythonpath
+from networks import assert_runs_equal, hand_halo_exchange, run_engine
 
 
 def small_cfg(**kw):
@@ -143,43 +148,55 @@ class TestSyntheticMode:
         assert all(s["iteration"] == 3 for s in states)
 
 
-class TestWaveEquivalence:
-    """Wave-posting modes and the per-message reference are one workload."""
+def hand_tsunami_program(cfg: TsunamiConfig):
+    """The tsunami loop written out by hand: hand-written halo, boundary
+    fill, update, periodic max-allreduce (the oracle every execution mode
+    must match)."""
+    sim = TsunamiSimulation(cfg)
 
-    def _run(self, cfg):
-        sim = TsunamiSimulation(cfg)
-        tracer = TraceRecorder(cfg.grid.nranks, by_kind=True)
-        engine = Engine(
-            cfg.grid.nranks, network=two_level_network(), tracer=tracer
-        )
-        states = engine.run(sim.make_program())
-        return states, engine.rank_times(), tracer
+    def program(ctx):
+        comm = ctx.comm
+        north, east, south, west = cfg.grid.neighbors_of(comm.rank)
+        state = {"iteration": 0} if cfg.synthetic else sim.make_rank_state(comm.rank)
+        for it in range(1, cfg.iterations + 1):
+            if cfg.synthetic:
+                yield from hand_halo_exchange(comm, cfg.grid, nfields=3)
+                local_max = 0.0
+            else:
+                eta, u, v = state["eta"], state["u"], state["v"]
+                yield from hand_halo_exchange(comm, cfg.grid, [eta, u, v])
+                fill_physical_ghosts(
+                    eta, u, v, north=north is None, east=east is None,
+                    south=south is None, west=west is None,
+                )
+                new = swe_step(eta, u, v, dt=cfg.timestep, dx=cfg.dx, depth=cfg.depth)
+                for field, interior in zip((eta, u, v), new):
+                    field[1:-1, 1:-1] = interior
+                local_max = float(np.abs(eta[1:-1, 1:-1]).max())
+            state["iteration"] = it
+            if cfg.allreduce_every and it % cfg.allreduce_every == 0:
+                state["eta_max"] = yield from comm.allreduce(local_max, max_op)
+        return state
+
+    return program
+
+
+class TestWaveEquivalence:
+    """Every execution mode is the hand-written loop: one workload."""
 
     @pytest.mark.parametrize("synthetic", [False, True])
     def test_wave_matches_per_message(self, synthetic):
-        from repro.apps.workload import ExecutionMode, with_mode
-
         cfg = TsunamiConfig(
             px=4, py=4, nx=16, ny=16, iterations=8, synthetic=synthetic,
             allreduce_every=3,
         )
-        wave_states, wave_clocks, wave_tracer = self._run(cfg)
-        ref_states, ref_clocks, ref_tracer = self._run(
-            with_mode(cfg, ExecutionMode.PER_MESSAGE)
-        )
-        assert max(ref_clocks) > 0
-        assert wave_clocks == ref_clocks
-        np.testing.assert_array_equal(
-            wave_tracer.bytes_matrix, ref_tracer.bytes_matrix
-        )
-        np.testing.assert_array_equal(
-            wave_tracer.count_matrix, ref_tracer.count_matrix
-        )
-        if not synthetic:
-            for wave_state, ref_state in zip(wave_states, ref_states):
-                np.testing.assert_array_equal(wave_state["eta"], ref_state["eta"])
-                np.testing.assert_array_equal(wave_state["u"], ref_state["u"])
-                np.testing.assert_array_equal(wave_state["v"], ref_state["v"])
+        ref = run_engine(hand_tsunami_program(cfg), 16)
+        assert max(ref["clocks"]) > 0
+        for mode in ExecutionMode:
+            got = run_engine(TsunamiSimulation(with_mode(cfg, mode)).make_program(), 16)
+            assert_runs_equal(ref, got, mode.value)
+            kernelled = mode is ExecutionMode.KERNELS and synthetic
+            assert (got["engine"].kernel_runs > 0) == kernelled
 
     def test_wave_resume_from_initial_states(self):
         """Waves rebind to the cloned fields of a resumed run."""

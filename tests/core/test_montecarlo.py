@@ -1,11 +1,12 @@
 """Monte-Carlo validation tests: sampled vs. analytic scores.
 
 The batched engine (``montecarlo_scores``) and the per-event reference
-path (``montecarlo_scores_scalar``) consume the RNG stream differently, so
-equivalence is asserted *statistically*: same seed, same sample count,
-score summaries within tight sampling tolerance.
+loop kept here (``montecarlo_scores_scalar``) consume the RNG stream
+differently, so equivalence is asserted *statistically*: same seed, same
+sample count, score summaries within tight sampling tolerance.
 """
 
+import numpy as np
 import pytest
 
 from repro.clustering import (
@@ -15,11 +16,48 @@ from repro.clustering import (
     size_guided_clustering,
 )
 from repro.core import (
+    MonteCarloScores,
     montecarlo_scores,
-    montecarlo_scores_scalar,
     paper_scenario,
     validate_against_analytic,
 )
+from repro.failures import CatastrophicModel, MonteCarloEstimator, rs_half_tolerance
+from repro.models import restart_set_for_nodes
+from repro.util.rng import resolve_rng
+
+
+def montecarlo_scores_scalar(
+    scenario, clustering, *, n_samples=2000, rng=None, tolerance=rs_half_tolerance
+):
+    """Per-event reference of ``montecarlo_scores``: the original
+    sample-then-measure loop, walking every sampled event through the
+    scalar predicates."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    model = CatastrophicModel(
+        scenario.placement, taxonomy=scenario.taxonomy, tolerance=tolerance
+    )
+    sampler = MonteCarloEstimator(model, rng=resolve_rng(rng))
+    restart_fractions = np.empty(n_samples)
+    catastrophic = soft = 0
+    for i in range(n_samples):
+        event = sampler.sample_event()
+        if event.kind == "soft":
+            soft += 1
+            members = clustering.l1_members(clustering.l1_of(event.process))
+            restart_fractions[i] = members.size / clustering.n
+        else:
+            restart = restart_set_for_nodes(clustering, scenario.placement, event.nodes)
+            restart_fractions[i] = restart.size / clustering.n
+        catastrophic += model.event_is_catastrophic(clustering, event)
+    return MonteCarloScores(
+        name=clustering.name,
+        n_samples=n_samples,
+        restart_fraction_mean=float(restart_fractions.mean()),
+        restart_fraction_p95=float(np.quantile(restart_fractions, 0.95)),
+        catastrophic_rate=catastrophic / n_samples,
+        soft_error_share=soft / n_samples,
+    )
 
 
 @pytest.fixture(scope="module")

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.apps import ExecutionMode, TsunamiConfig, TsunamiSimulation
+from repro.apps.workload import with_mode
 from repro.ftilib import FTITraceConfig, make_fti_world_programs
 from repro.machine import FTIPlacement
-from repro.simmpi import Engine, TraceRecorder
+from repro.simmpi import ANY_SOURCE, Engine, TraceRecorder
 
-from networks import two_level_network  # tests/simmpi, on pytest's pythonpath
+# tests/simmpi, on pytest's pythonpath
+from networks import assert_runs_equal, hand_halo_exchange, run_engine
 
 
 def run_trace(nodes=4, app_per_node=4, iterations=10, checkpoint_every=5,
@@ -108,46 +110,83 @@ class TestWorldStructure:
             make_fti_world_programs(sim, FTIPlacement(4, 4), iterations=5)
 
 
+def hand_fti_programs(cfg, placement, *, iterations, trace_cfg):
+    """The fig5 world written out by hand with isend / irecv / wait: the
+    FTI_Init allgather and split, the synthetic halo loop with a
+    checkpoint-ready send to the node encoder every ``checkpoint_every``
+    iterations, and encoders that gather the node's notices (wildcard
+    receives, then ``waitall``) and run the Reed-Solomon ring hop by hop."""
+    ready_tag, ring_tag = 9_000_000, 9_000_001
+    every = trace_cfg.checkpoint_every
+    n_ckpts = len([i for i in range(1, iterations) if i % every == 0])
+
+    def app(ctx):
+        comm = ctx.comm
+        yield from comm.allgather(ctx.rank)
+        app_comm = yield from comm.split(color=0, key=ctx.rank)
+        encoder = placement.node_of_rank(ctx.rank) * placement.procs_per_node
+        for it in range(iterations):
+            if it and it % every == 0:
+                yield from comm.isend(
+                    None, dest=encoder, tag=ready_tag,
+                    nbytes=trace_cfg.ready_message_bytes, kind="fti-ready",
+                )
+            yield from hand_halo_exchange(app_comm, cfg.grid, nfields=3)
+        return {"iteration": iterations}
+
+    def encoder(ctx):
+        comm = ctx.comm
+        yield from comm.allgather(ctx.rank)
+        yield from comm.split(color=1, key=ctx.rank)
+        node = placement.node_of_rank(ctx.rank)
+        first = node - node % trace_cfg.encoder_group_nodes
+        last = min(first + trace_cfg.encoder_group_nodes, placement.nnodes)
+        ring = [n * placement.procs_per_node for n in range(first, last)]
+        at = ring.index(ctx.rank)
+        chunk = trace_cfg.checkpoint_bytes_per_process * placement.app_per_node
+        chunk //= len(ring)
+        for _ in range(n_ckpts):
+            ready = []
+            for _ in range(placement.app_per_node):
+                ready.append((yield from comm.irecv(source=ANY_SOURCE, tag=ready_tag)))
+            yield from comm.waitall(ready)
+            for _ in range(len(ring) - 1):
+                yield from comm.isend(
+                    None, dest=ring[(at + 1) % len(ring)], tag=ring_tag,
+                    nbytes=chunk, kind="fti-encode",
+                )
+                yield from comm.recv(source=ring[at - 1], tag=ring_tag)
+        return {"node": node, "checkpoints": n_ckpts}
+
+    return [
+        encoder if placement.is_encoder(rank) else app
+        for rank in range(placement.nranks)
+    ]
+
+
 class TestWaveEquivalence:
     def test_wave_native_programs_match_per_message(self):
-        """The wave-native §V programs (halo waves + persistent ready /
-        ring control traffic, re-armed across checkpoint rounds) are
-        byte-identical in traces and bit-identical in clocks to the
-        per-message reference."""
-        runs = {}
-        for use_waves in (False, True):
-            cfg = TsunamiConfig(
-                px=4, py=4, nx=16, ny=16, iterations=8, synthetic=True,
-                allreduce_every=0,
-                mode=(
-                    ExecutionMode.KERNELS
-                    if use_waves
-                    else ExecutionMode.PER_MESSAGE
-                ),
-            )
-            sim = TsunamiSimulation(cfg)
-            placement = FTIPlacement(4, 4)
-            programs = make_fti_world_programs(
-                sim, placement, iterations=8,
-                trace_cfg=FTITraceConfig(
-                    checkpoint_every=3, encoder_group_nodes=4
-                ),
-            )
-            tracer = TraceRecorder(placement.nranks, by_kind=True)
-            engine = Engine(
-                placement.nranks, network=two_level_network(), tracer=tracer
-            )
-            results = engine.run(programs)
-            runs[use_waves] = (results, engine.rank_times(), tracer)
-        ref, waved = runs[False], runs[True]
-        assert ref[0] == waved[0]
-        assert max(ref[1]) > 0
-        assert ref[1] == waved[1]
-        assert sorted(ref[2].kind_matrices) == sorted(waved[2].kind_matrices)
-        for kind, matrix in ref[2].kind_matrices.items():
-            np.testing.assert_array_equal(
-                matrix, waved[2].kind_matrices[kind], err_msg=kind
-            )
-        np.testing.assert_array_equal(
-            ref[2].count_matrix, waved[2].count_matrix
+        """Every mode of the §V programs (halo, checkpoint-ready sends,
+        readiness gathers and ring hops, each one recipe) equals the
+        hand-written world: results, byte-identical traces, bit-identical
+        clocks."""
+        cfg = TsunamiConfig(
+            px=4, py=4, nx=16, ny=16, iterations=8, synthetic=True,
+            allreduce_every=0,
         )
+        placement = FTIPlacement(4, 4)
+        trace_cfg = FTITraceConfig(checkpoint_every=3, encoder_group_nodes=4)
+        ref = run_engine(
+            hand_fti_programs(cfg, placement, iterations=8, trace_cfg=trace_cfg),
+            placement.nranks,
+        )
+        assert max(ref["clocks"]) > 0
+        assert ref["tracer"].kind_bytes("fti-encode").sum() > 0
+        for mode in ExecutionMode:
+            programs = make_fti_world_programs(
+                TsunamiSimulation(with_mode(cfg, mode)), placement,
+                iterations=8, trace_cfg=trace_cfg,
+            )
+            got = run_engine(programs, placement.nranks)
+            assert_runs_equal(ref, got, mode.value)
+            assert (got["engine"].kernel_runs > 0) == (mode is ExecutionMode.KERNELS)

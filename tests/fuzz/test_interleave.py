@@ -7,6 +7,7 @@ classification + recorded trace), and the ``interleave`` actor /
 scenario-shrinker integration.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -113,6 +114,32 @@ class TestFTISweep:
         report = sweep(InterleavingSpec(), n_schedules=4, shrink=False)
         assert report.permuted_batches > 0
         assert report.findings == []
+
+    @pytest.mark.parametrize(
+        "nodes,app_per_node", [(5, 1), (7, 2)], ids=["5x1", "7x2"]
+    )
+    def test_non_square_app_counts_build(self, nodes, app_per_node):
+        """Five and fourteen app ranks have no square grid: the world is
+        built by fig5_workload's most-square factorization."""
+        spec = InterleavingSpec(nodes=nodes, app_per_node=app_per_node)
+        outcome = run_schedule(spec)
+        assert outcome.status == "done"
+        assert all(outcome.signature[1]), "a rank did not finish"
+
+    def test_default_canonical_outcome_is_pinned(self):
+        """The default 4x2 world's canonical run, pinned: finished flags,
+        clocks and trace matrices."""
+        status, finished, clocks, bytes_matrix, count_matrix = (
+            run_schedule(InterleavingSpec()).signature
+        )
+        assert status == "done"
+        digest = hashlib.sha256(bytes(finished))
+        digest.update(np.asarray(clocks, dtype=np.float64).tobytes())
+        digest.update(bytes_matrix)
+        digest.update(count_matrix)
+        assert digest.hexdigest() == (
+            "9b0dd570d707ad52ad6a42b5b545ab1ce2f6303dd6c5db89c93342934f36f95f"
+        )
 
 
 class TestExecutorScheduleDifferential:

@@ -1,6 +1,7 @@
 """Fixtures shared by the engine-equivalence suites.
 
-A clock-sensitive network, the persistent ring programs, and one
+A clock-sensitive network, the persistent ring programs, the hand-written
+halo exchange every driver of the app recipe is checked against, and one
 run-and-compare helper: :func:`assert_matches_reference` runs a program on
 :class:`~repro.simmpi.ReferenceEngine` and on the production
 :class:`~repro.simmpi.Engine` and asserts equal results, ``==`` clocks
@@ -9,6 +10,7 @@ and byte-identical bytes / count / per-kind matrices.
 
 import numpy as np
 
+from repro.apps.stencil import HALO_TAG_BASE
 from repro.simmpi import (
     Engine,
     KernelLoop,
@@ -75,6 +77,48 @@ def interpreted_ring_program(iterations):
         return results
 
     return program
+
+
+def hand_halo_exchange(comm, grid, fields=None, *, nfields=1, kind="halo"):
+    """One halo exchange written out by hand: the independent oracle.
+
+    Per existing neighbor in N, E, S, W order an ``isend`` of the packed
+    edge (``None`` plus a byte count when ``fields`` is ``None``) and an
+    ``irecv`` of the ghost, then one ``wait`` per receive in posting order,
+    unpacking real payloads into the ghost layers. It shares nothing with
+    :class:`repro.apps.stencil.HaloExchange` but the grid and the tags.
+    """
+    north, east, south, west = grid.neighbors_of(comm.rank)
+    tx, ty = grid.tile_nx, grid.tile_ny
+    inner = slice(1, -1)
+    # (neighbor, send tag, receive tag, edge slice, ghost slice, edge cells)
+    sides = (
+        (north, 0, 2, (slice(1, 2), inner), (slice(0, 1), inner), tx),
+        (east, 1, 3, (inner, slice(-2, -1)), (inner, slice(-1, None)), ty),
+        (south, 2, 0, (slice(-2, -1), inner), (slice(-1, None), inner), tx),
+        (west, 3, 1, (inner, slice(1, 2)), (inner, slice(0, 1)), ty),
+    )
+    recvs = []
+    for neighbor, send_tag, recv_tag, edge, ghost, cells in sides:
+        if neighbor is None:
+            continue
+        if fields is None:
+            payload, nbytes = None, nfields * cells * 8
+        else:
+            payload = np.concatenate([f[edge].ravel() for f in fields])
+            nbytes = payload.nbytes
+        yield from comm.isend(
+            payload, dest=neighbor, tag=HALO_TAG_BASE + send_tag,
+            nbytes=nbytes, kind=kind,
+        )
+        req = yield from comm.irecv(source=neighbor, tag=HALO_TAG_BASE + recv_tag)
+        recvs.append((req, ghost))
+    for req, ghost in recvs:
+        payload = yield from comm.wait(req)
+        if fields is not None:
+            n = fields[0][ghost].size
+            for i, f in enumerate(fields):
+                f[ghost] = payload[i * n : (i + 1) * n].reshape(f[ghost].shape)
 
 
 def run_engine(program, size, *, engine_cls=Engine, config=None):

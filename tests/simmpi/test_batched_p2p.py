@@ -12,17 +12,13 @@ cascade, and on stencil halo workloads.
 import numpy as np
 import pytest
 
-from repro.apps.stencil import (
-    ProcessGrid,
-    halo_exchange,
-    halo_wave_init,
-    synthetic_halo_exchange,
-)
-from repro.simmpi import Engine, EngineConfig, ReferenceEngine
+from repro.apps.stencil import HaloExchange, ProcessGrid
+from repro.simmpi import Engine, EngineConfig, Post, ReferenceEngine
 
 from networks import (
     assert_matches_reference,
     assert_runs_equal,
+    hand_halo_exchange,
     run_engine,
     two_level_network,
 )
@@ -41,7 +37,7 @@ class TestStencilWorkloads:
         def program(ctx):
             for it in range(4):
                 ctx.advance(1e-4 * (1 + (ctx.rank + it) % 3))
-                yield from synthetic_halo_exchange(ctx.comm, grid, nfields=3)
+                yield from hand_halo_exchange(ctx.comm, grid, nfields=3)
             return ctx.now
 
         assert_matches_reference(program, grid.nranks)
@@ -54,7 +50,7 @@ class TestStencilWorkloads:
                 (grid.tile_ny + 2, grid.tile_nx + 2), float(ctx.rank)
             )
             for _ in range(3):
-                yield from halo_exchange(ctx.comm, grid, [field])
+                yield from hand_halo_exchange(ctx.comm, grid, [field])
                 field[1:-1, 1:-1] += 1.0
             return field.sum()
 
@@ -68,7 +64,7 @@ class TestStencilWorkloads:
             row_comm = yield from ctx.comm.split(color=ctx.rank // grid.px)
             total = 0.0
             for _ in range(3):
-                yield from synthetic_halo_exchange(ctx.comm, grid)
+                yield from hand_halo_exchange(ctx.comm, grid)
                 total = yield from row_comm.allreduce(total + ctx.rank)
             return (total, ctx.now)
 
@@ -131,9 +127,9 @@ class TestPricingSemantics:
 
 
 class TestPersistentWaves:
-    """The persistent-request wave path is the same workload as the
-    per-message halo program: identical clocks, traces and results under
-    both pricing modes."""
+    """The wave driver of the halo recipe is the same workload as the
+    hand-written per-message halo program: identical clocks, traces and
+    results under both pricing modes."""
 
     @pytest.mark.parametrize("px,py", [(2, 2), (4, 2), (4, 4)])
     def test_wave_halo_matches_per_message_halo(self, px, py):
@@ -142,14 +138,12 @@ class TestPersistentWaves:
         def permsg(ctx):
             for it in range(4):
                 ctx.advance(1e-4 * (1 + (ctx.rank + it) % 3))
-                yield from synthetic_halo_exchange(ctx.comm, grid, nfields=3)
+                yield from hand_halo_exchange(ctx.comm, grid, nfields=3)
             return ctx.now
 
         def wave(ctx):
             comm = ctx.comm
-            requests, recvs = halo_wave_init(comm, grid, nfields=3)
-            start = comm.start_all_op(requests)
-            drain = comm.waitall_op(recvs)
+            start, drain = comm.wave(HaloExchange(comm, grid, nfields=3).recipe)
             for it in range(4):
                 ctx.advance(1e-4 * (1 + (ctx.rank + it) % 3))
                 yield start
@@ -170,20 +164,17 @@ class TestPersistentWaves:
             row_comm = yield from ctx.comm.split(color=ctx.rank // grid.px)
             total = 0.0
             for _ in range(3):
-                yield from synthetic_halo_exchange(ctx.comm, grid)
+                yield from hand_halo_exchange(ctx.comm, grid)
                 total = yield from row_comm.allreduce(total + ctx.rank)
             return (total, ctx.now)
 
         def wave(ctx):
             comm = ctx.comm
             row_comm = yield from comm.split(color=ctx.rank // grid.px)
-            requests, recvs = halo_wave_init(comm, grid)
-            start = comm.start_all_op(requests)
-            drain = comm.waitall_op(recvs)
+            halo = HaloExchange(comm, grid)
             total = 0.0
             for _ in range(3):
-                yield start
-                yield drain
+                yield from halo.run(True)
                 total = yield from row_comm.allreduce(total + ctx.rank)
             return (total, ctx.now)
 
@@ -195,3 +186,22 @@ class TestPersistentWaves:
             ref = run_engine(permsg, grid.nranks, engine_cls=engine_cls, config=config)
             waved = run_engine(wave, grid.nranks, engine_cls=engine_cls, config=config)
             assert_runs_equal(ref, waved, f"{engine_cls.__name__} waves")
+
+    def test_wave_compiles_once_per_recipe(self):
+        """The wave driver caches its ops on the communicator by recipe
+        identity: the same tuple reuses them, an equal but distinct tuple
+        compiles its own."""
+
+        def program(ctx):
+            comm = ctx.comm
+            peer = 1 - ctx.rank
+            recipe = (Post(True, peer, 5, 64, "p2p"), Post(False, peer, 5))
+            ops = comm.wave(recipe)
+            assert comm.wave(recipe) == ops and comm.wave(recipe)[0] is ops[0]
+            assert comm.wave(tuple(list(recipe)))[0] is not ops[0]
+            got = []
+            for waves in (True, False, True):
+                got.append((yield from comm.exchange(recipe, waves=waves)))
+            return got
+
+        assert run_engine(program, 2)["results"] == [[[None]] * 3] * 2

@@ -12,7 +12,9 @@ code spans and fenced code blocks and asserts it still resolves:
 * ``python <script>`` / ``python -m <module>`` lines in fenced blocks
   must name real scripts/modules;
 * the paper-claims contract table of ``docs/architecture.md`` and the
-  ``tests/paper/test_paper_*.py`` exhibit modules must index each other.
+  ``tests/paper/test_paper_*.py`` exhibit modules must index each other;
+* every ``*.md`` file named in a docstring or comment under ``src/`` must
+  exist.
 """
 
 import argparse
@@ -20,6 +22,7 @@ import ast
 import importlib.util
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -160,6 +163,27 @@ def test_paper_contract_table_resolves():
     for path in sorted((ROOT / "tests/paper").glob("test_paper_*.py")):
         module = path.relative_to(ROOT).as_posix()
         assert module in indexed, f"{module} has no row in the contract table"
+
+
+_MD_RE = re.compile(r"(?<![\w/.-])(?:[A-Za-z0-9_.-]+/)*[A-Za-z0-9_-]+\.md\b")
+
+
+def test_markdown_cited_in_src_exists():
+    """Every ``*.md`` file a docstring or comment under ``src/`` names is in
+    the tree (a path must resolve from the repo root; a bare name may sit
+    anywhere)."""
+    missing = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        with path.open("rb") as handle:
+            tokens = list(tokenize.tokenize(handle.readline))
+        for token in tokens:
+            if token.type not in (tokenize.COMMENT, tokenize.STRING):
+                continue
+            for name in _MD_RE.findall(token.string):
+                found = (ROOT / name).exists() if "/" in name else any(ROOT.rglob(name))
+                if not found:
+                    missing.append(f"{path.relative_to(ROOT)}:{token.start[0]}: {name}")
+    assert not missing, f"src/ cites markdown files that do not exist: {missing}"
 
 
 def test_required_docs_present():
