@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.apps.stencil import HaloExchange, ProcessGrid
 from repro.apps.workload import ExecutionMode, runs_kernels, runs_waves
-from repro.simmpi.engine import KernelLoop
 from repro.util.validation import check_in_range, check_positive
 
 
@@ -113,8 +112,8 @@ class HeatSimulation:
             else:
                 state = self.make_rank_state(comm.rank)
             if runs_kernels(self.cfg, comm, hook) and state["iteration"] < niter:
-                start, drain = comm.wave(HaloExchange.cached(comm, self.grid).recipe)
-                yield KernelLoop(start, drain, niter - state["iteration"])
+                recipe = HaloExchange.cached(comm, self.grid).recipe
+                yield from comm.repeat(recipe, niter - state["iteration"])
                 state["iteration"] = niter
                 return state
             while state["iteration"] < niter:

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.apps.workload import ExecutionMode, runs_kernels, runs_waves
 from repro.simmpi.comm import Post
-from repro.simmpi.engine import KernelLoop
 from repro.util.validation import check_positive
 
 
@@ -177,9 +176,10 @@ class SpectralSimulation:
                 else self.make_rank_state(comm.rank)
             )
             if runs_kernels(self.cfg, comm, hook) and state["iteration"] < niter:
-                start, drain = comm.wave(self._transpose(comm))
-                # Two transpose rounds per iteration — same wave twice.
-                yield KernelLoop(start, drain, 2 * (niter - state["iteration"]))
+                # Two transpose rounds per iteration — same recipe twice.
+                yield from comm.repeat(
+                    self._transpose(comm), 2 * (niter - state["iteration"])
+                )
                 state["iteration"] = niter
                 return state
             while state["iteration"] < niter:

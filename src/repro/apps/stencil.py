@@ -16,8 +16,8 @@ One recipe, two drivers: :class:`HaloExchange` describes a rank's exchange
 once, as an exchange recipe (:class:`repro.simmpi.Post` entries), and
 either driver of :meth:`repro.simmpi.Communicator.exchange` runs it — the
 persistent-request wave (``ExecutionMode.WAVES`` / ``KERNELS``, which also
-hands the same wave to a ``KernelLoop``) or message by message
-(``ExecutionMode.PER_MESSAGE``, and HydEE replay windows). The recipe
+runs the whole steady loop through ``Communicator.repeat``) or message by
+message (``ExecutionMode.PER_MESSAGE``, and HydEE replay windows). The recipe
 posts all four halo sends before the first wait, the shape the engine's
 batched p2p pricing amortizes. The independent oracle is a halo loop
 written out by hand with ``isend`` / ``irecv`` / ``wait`` in the test

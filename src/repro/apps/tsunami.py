@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.apps.stencil import HaloExchange, ProcessGrid
 from repro.apps.workload import ExecutionMode, runs_kernels, runs_waves
-from repro.simmpi.engine import KernelLoop
 from repro.util.validation import check_positive
 
 #: Gravitational acceleration used by the solver (m/s^2).
@@ -292,32 +291,22 @@ class TsunamiSimulation:
         return program
 
     def _kernel_program(self, comm, state: dict, niter: int):
-        """Synthetic steady loop as KernelLoop ops, chunked at allreduce
-        boundaries so each chunk's trailing collective rides in the
-        kernel's fused window (or, when the group can't take the fast
-        path, as a plain allreduce after the chunk — same tags, traces
-        and clocks as the interpreted loop either way)."""
+        """Synthetic steady loop up to ``niter``, chunked at allreduce
+        boundaries: each chunk is one :meth:`Communicator.repeat
+        <repro.simmpi.comm.Communicator.repeat>` of the halo recipe, then a
+        plain allreduce where one fires — the tags, traces and clocks of
+        :meth:`step`'s loop."""
         from repro.simmpi.collectives import max_op
 
         every = self.cfg.allreduce_every
-        start, drain = comm.wave(HaloExchange.cached(comm, self.grid, nfields=3).recipe)
+        recipe = HaloExchange.cached(comm, self.grid, nfields=3).recipe
         while state["iteration"] < niter:
             it = state["iteration"]
-            if every:
-                chunk = min((it // every + 1) * every, niter) - it
-            else:
-                chunk = niter - it
-            fire = bool(every) and (it + chunk) % every == 0
-            if fire and comm.collective_windows_ok():
-                _, wres = yield KernelLoop(
-                    start, drain, chunk, (comm.allreduce_op(0.0, max_op),)
-                )
-                state["eta_max"] = wres[0]
-            else:
-                yield KernelLoop(start, drain, chunk)
-                if fire:
-                    state["eta_max"] = yield from comm.allreduce(0.0, max_op)
-            state["iteration"] = it + chunk
+            end = min((it // every + 1) * every, niter) if every else niter
+            yield from comm.repeat(recipe, end - it)
+            state["iteration"] = end
+            if every and end % every == 0:
+                state["eta_max"] = yield from comm.allreduce(0.0, max_op)
 
     # -- serial reference ---------------------------------------------------
 

@@ -7,7 +7,8 @@ sharded workers) shares instead of assembling rank programs its own way:
   engine (``PER_MESSAGE`` / ``WAVES`` / ``KERNELS``). Every app config
   carries it as its ``mode`` field and nothing else about execution;
   apps ask :func:`runs_waves` (which driver runs an exchange recipe) and
-  :func:`runs_kernels` (whether a steady loop becomes a ``KernelLoop``).
+  :func:`runs_kernels` (whether a steady loop runs through
+  ``Communicator.repeat``).
 * :class:`Workload` — a *picklable* per-rank program factory protocol:
   ``workload.build_program(rank)`` returns the rank's program callable,
   so a shard worker ships one small object across the process boundary
@@ -38,11 +39,13 @@ class ExecutionMode(Enum):
     (:meth:`repro.simmpi.Communicator.exchange`). ``PER_MESSAGE`` runs the
     recipes through the per-message driver (isend/irecv/wait);
     ``WAVES`` through the wave driver (one ``start_all`` + one
-    ``waitall`` per exchange); ``KERNELS`` additionally declares
-    :class:`~repro.simmpi.engine.KernelLoop` ops so eligible steady states
-    execute closed-form. Messages, traces and clocks are identical across
-    all three — the suites pin each against hand-written loops — so the
-    mode is purely a performance choice.
+    ``waitall`` per exchange); ``KERNELS`` additionally runs steady loops
+    through :meth:`repro.simmpi.Communicator.repeat`, whose
+    :class:`~repro.simmpi.engine.KernelLoop` executes closed-form where
+    eligible and otherwise falls back to the wave loop. Messages, traces
+    and clocks are identical across all three — the suites pin each
+    against hand-written loops — so the mode is purely a performance
+    choice.
     """
 
     PER_MESSAGE = "per-message"
@@ -77,7 +80,7 @@ def runs_waves(mode: ExecutionMode, comm) -> bool:
 
 
 def runs_kernels(cfg: Any, comm, hook: Callable | None = None) -> bool:
-    """Whether a steady loop on ``comm`` may be yielded as a ``KernelLoop``.
+    """Whether a steady loop on ``comm`` runs through ``Communicator.repeat``.
 
     The one kernel gate: a synthetic app config in ``KERNELS`` mode, no
     per-iteration ``hook`` and a communicator that runs waves.

@@ -289,11 +289,15 @@ def cmd_sim(args) -> int:
         f"{reason} x{count}"
         for reason, count in sorted(engine.kernel_deopts.items())
     )
-    print(
-        f"kernels: {engine.kernel_runs} run(s), "
-        f"{engine.kernel_iterations} iteration(s) closed-form, "
-        f"deopts: {deopts or 'none'}"
-    )
+    if engine.kernel_runs or deopts:
+        print(
+            f"kernels: {engine.kernel_runs} run(s), "
+            f"{engine.kernel_iterations} iteration(s) closed-form, "
+            f"deopts: {deopts or 'none'}"
+        )
+    else:
+        # Every declared loop either runs or counts a deopt reason.
+        print("kernels: none declared")
     if tracer is not None:
         print(
             f"traced: {int(tracer.total_messages):,} messages, "

@@ -109,7 +109,7 @@ def make_fti_world_programs(
         waves = runs_waves(mode, comm)
         # Kernelized steady state: between checkpoint-ready sends the app
         # loop is the tsunami steady loop, so each segment goes to its
-        # KernelLoop emitter (chunked further at allreduce boundaries).
+        # repeat-based emitter (chunked further at allreduce boundaries).
         kernels = runs_kernels(sim.cfg, app_comm)
         state = {"iteration": 0} if sim.cfg.synthetic else sim.make_rank_state(
             app_comm.rank

@@ -21,7 +21,10 @@ whose membership is registered with the engine — has reached the
 collective. All algorithm arithmetic runs in *group-rank* space (the
 member's rank within the communicator); world ranks appear only at the
 network-model and tracer boundary, translated through the group's
-rank→world vector.
+rank→world vector. Each fast path runs one collective per call: a
+steady-state kernel carries no collective (closed-form or declined; the
+program's loop is the only interpreter), so a reduction after a kernel
+loop is an ordinary collective call.
 
 **Byte-identical trace** means the fast path emits exactly the per-message
 records the cascade would have: the same (source, destination, nbytes,
@@ -547,35 +550,3 @@ def execute_fast_collective(
         values, op_fns, root, trace_kind, clocks, group, network, tracer
     )
 
-
-def execute_fused_window(
-    specs: list,
-    *,
-    clocks: np.ndarray,
-    group: np.ndarray,
-    network,
-    tracer,
-):
-    """Price a fused window of back-to-back same-group collectives.
-
-    ``specs`` is an ordered list of ``(kind, values, op_fns, root,
-    trace_kind)`` tuples, each shaped exactly like one
-    :func:`execute_fast_collective` call. The window runs in one pass:
-    every collective's output clocks feed the next one's input clocks
-    without the engine re-gathering the group in between, which is
-    bit-identical to executing them sequentially — all members enter the
-    window synchronized, so no other event can interleave. Returns
-    ``(results_per_spec, new_clocks)`` where ``results_per_spec[j]`` is
-    spec ``j``'s per-group-rank result list.
-
-    The steady-state kernel uses this for a :class:`~repro.simmpi.engine.
-    KernelLoop`'s trailing collective window; the generator cascade and the
-    per-collective fast path remain the reference semantics.
-    """
-    results_per_spec = []
-    for kind, values, op_fns, root, trace_kind in specs:
-        results, clocks = FAST_COLLECTIVES[kind](
-            values, op_fns, root, trace_kind, clocks, group, network, tracer
-        )
-        results_per_spec.append(results)
-    return results_per_spec, clocks

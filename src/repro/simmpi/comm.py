@@ -32,7 +32,9 @@ or the *per-message driver* (``isend`` / ``irecv`` in recipe order, then
 one ``wait`` per receive). Both post the same messages in the same order,
 so matching stamps, traces and clocks are identical; a communicator that
 refuses persistent requests (``supports_waves`` false) only ever runs the
-per-message driver and never sees one.
+per-message driver and never sees one. :meth:`Communicator.repeat` runs a
+recipe many times over: the engine executes the loop closed-form or
+declines it to the wave driver's own loop.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 from repro.simmpi import collectives as coll
 from repro.simmpi.engine import (
     CollectiveOp,
+    KernelLoop,
     PostRecv,
     PostSend,
     RankContext,
@@ -333,8 +336,10 @@ class Communicator:
         recipe order, wrapped in one ``StartAll`` and one ``WaitAll`` over
         the receives. The ops are cached on this communicator by recipe
         identity (the entry holds the tuple, so a recycled ``id`` cannot
-        alias), so pass the same tuple every time. A steady loop may hand
-        them to a :class:`~repro.simmpi.engine.KernelLoop`.
+        alias), so pass the same tuple every time. :meth:`repeat` offers
+        them to the engine as a :class:`~repro.simmpi.engine.KernelLoop`,
+        which runs closed-form or is declined; the program's loop is the
+        only interpreter.
         """
         entry = self._waves.get(id(recipe))
         if entry is None or entry[0] is not recipe:
@@ -378,38 +383,28 @@ class Communicator:
             payloads.append((yield from self.wait(req)))
         return payloads
 
-    def collective_windows_ok(self) -> bool:
-        """Whether prebuilt collective ops may be attached to a
-        :class:`~repro.simmpi.engine.KernelLoop` window this run.
+    def repeat(self, recipe: tuple[Post, ...], iterations: int):
+        """Run ``recipe`` ``iterations`` times through its wave; returns ``None``.
 
-        True exactly when this communicator's collectives take the
-        engine's vectorized fast path (size > 1, registered group, no
-        per-message observers, plain :class:`Communicator`). When false,
-        apps must fall back to ``yield from`` collectives *after* the
-        loop — the generator cascade needs real per-message posting that a
-        window cannot replicate.
+        Offers the whole loop to the engine as one
+        :class:`~repro.simmpi.engine.KernelLoop` over :meth:`wave`'s ops:
+        closed-form or declined; the program's loop is the only
+        interpreter. On a decline this generator is that loop — ``yield
+        start; yield drain`` per iteration (no drain when the recipe has no
+        receives, as in :meth:`exchange`). Received payloads are dropped,
+        so only byte-count-only recipes belong here, on a communicator
+        that ``supports_waves``; ``iterations`` must be at least 1.
         """
-        return self.size > 1 and self._fast_collective_ok()
-
-    def allreduce_op(self, value: Any, op: Callable = coll.sum_op) -> CollectiveOp:
-        """Prebuild an allreduce op for a :class:`KernelLoop` window.
-
-        Consumes exactly the tags the equivalent ``yield from
-        comm.allreduce(value, op)`` fast path would (two on non-power-of-
-        two groups, whose cascade runs reduce-then-bcast), so a program
-        switching between the kernelized and per-iteration paths keeps
-        every later collective's tags — and hence traces and clocks —
-        aligned. Only legal while :meth:`collective_windows_ok` holds.
-        """
-        if not self.collective_windows_ok():
-            raise CommunicatorError(
-                "allreduce_op needs the vectorized collective path "
-                "(collective_windows_ok() is false)"
-            )
-        tag = self._next_coll_tag()
-        if not coll._is_pow2(self.size):
-            self._next_coll_tag()
-        return self._collective_op("allreduce", tag, value, op=op)
+        start, drain = self.wave(recipe)
+        if (yield KernelLoop(start, drain, iterations)):
+            return
+        if drain.requests:
+            for _ in range(iterations):
+                yield start
+                yield drain
+        else:
+            for _ in range(iterations):
+                yield start
 
     def send(
         self,

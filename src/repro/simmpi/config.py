@@ -72,8 +72,9 @@ class EngineConfig:
         Enable per-channel consumed-receive counting (the protocol
         layer's receiver-position sidecars). Like ``message_log`` and
         failure injection it is a per-message observer, so it keeps every
-        collective on the point-to-point cascade and every ``KernelLoop``
-        on its interpreted expansion.
+        collective on the point-to-point cascade and declines every
+        ``KernelLoop`` (closed-form or declined; the program's loop is the
+        only interpreter).
     """
 
     pool_capacity: int = 512

@@ -112,6 +112,20 @@ and per-message sequences identically (a dropped start posts nothing,
 exactly like a crash before the first ``isend`` of the equivalent
 sequence).
 
+Steady-state kernels
+--------------------
+A rank may offer a whole steady loop as one :class:`KernelLoop` op
+(``Communicator.repeat`` is the program that does). The engine holds the
+rank until the scheduler goes quiescent and then answers: closed-form or
+declined; the program's loop is the only interpreter. When the held ranks
+form a closed sub-world their loops execute in closed form and the reply
+is ``True``; otherwise nothing is posted, the reply is ``False`` (with the
+deopt reason counted) and the program runs the loop itself, one
+``StartAll`` / ``WaitAll`` pair per iteration. The
+:class:`~repro.simmpi.reference.ReferenceEngine`, interleaving
+exploration, failure injection and the per-message observers decline
+every loop on the spot.
+
 Virtual-time semantics
 ----------------------
 * each rank carries a local clock, advanced by ``ctx.advance(seconds)`` for
@@ -176,6 +190,7 @@ from repro.simmpi.request import (
     COMPLETED_SEND,
     UNPRICED,
     CollectiveRequest,
+    KernelHoldRequest,
     MessagePool,
     MessageView,
     PLAN_RECV,
@@ -268,40 +283,33 @@ class CollectiveOp:
 @dataclass(slots=True)
 class KernelLoop:
     """A declared steady-state loop: ``iterations`` repetitions of (post
-    ``start``, drain ``drain``), then an optional back-to-back collective
-    window, in one engine interaction.
+    ``start``, drain ``drain``), offered to the engine in one interaction.
 
-    The op is *defined* as exactly this program fragment::
+    The op stands for exactly this program fragment::
 
         for _ in range(iterations):
             yield start
-            results = yield drain
-        window = [(yield c) for c in colls]
-        # engine replies with `results` (the LAST drain's payload list),
-        # or `(results, window)` when the collective window is non-empty
+            yield drain
 
-    and the engine's interpreted handler executes precisely that expansion
-    through the ordinary ``StartAll`` / ``WaitAll`` / ``CollectiveOp``
-    machinery — identical posting order, matching, pricing, tracing,
-    clocks and failure injection — without resuming the rank's generator
-    between iterations. Intermediate drain payloads are discarded; only a
-    program that does not consume them (synthetic traced steady loops) may
-    yield this op.
-
-    When the ranks parked on such loops form a closed sub-world — equal
-    iteration counts and a provably static cycle whose traffic never
-    leaves them (see ``Engine._release_held_kernels``) — the engine
-    compiles their iteration into a :class:`_SteadyStateKernel` and
-    executes all iterations with closed-form clock recurrences —
-    byte-identical traces, bit-identical clocks — however many other ranks
-    sit blocked outside the loop. Anything dynamic deopts back to the
-    expansion above.
+    and the engine answers it closed-form or declined; the program's loop
+    is the only interpreter. When the ranks held on such loops form a
+    closed sub-world — equal iteration counts and a provably static cycle
+    whose traffic never leaves them (see ``Engine._release_held_kernels``)
+    — the engine compiles their iteration into a
+    :class:`_SteadyStateKernel`, executes all iterations with closed-form
+    clock recurrences (byte-identical traces, bit-identical clocks) however
+    many other ranks sit blocked outside the loop, and replies ``True``.
+    Otherwise it posts nothing and replies ``False``, and the program runs
+    the fragment above itself —
+    :meth:`Communicator.repeat <repro.simmpi.comm.Communicator.repeat>`
+    is that program. The drain payloads are never handed back, so only a
+    loop that does not consume them (synthetic traced steady loops) may be
+    declared.
     """
 
     start: StartAll
     drain: WaitAll
     iterations: int
-    colls: tuple = ()  # CollectiveOps run back-to-back after the last drain
 
 
 Op = PostSend | PostRecv | Wait | WaitAll | StartAll | CollectiveOp | KernelLoop
@@ -364,7 +372,6 @@ class _RankState:
         "finished",
         "result",
         "failed",
-        "kernel",
     )
 
     def __init__(self, rank: int, gen: Generator, ctx: RankContext):
@@ -375,33 +382,6 @@ class _RankState:
         self.finished = False
         self.result: Any = None
         self.failed = False
-        self.kernel: _KernelState | None = None
-
-
-class _KernelState:
-    """Progress of one rank through a :class:`KernelLoop`.
-
-    ``remaining`` counts iterations whose drain has not been consumed yet
-    (so a rank parked on its drain still counts that iteration);
-    ``window_at`` indexes the next collective of the trailing window;
-    ``results`` holds the final drain's ordered payload list once the last
-    iteration is consumed; ``window_results`` collects the trailing
-    collective window's per-position results.
-    """
-
-    __slots__ = ("op", "remaining", "window_at", "results", "window_results")
-
-    def __init__(self, op: KernelLoop):
-        self.op = op
-        self.remaining = op.iterations
-        self.window_at = 0
-        self.results: list | None = None
-        self.window_results: list = []
-
-
-#: Sentinels returned by the kernel-loop driver to _step.
-_KERNEL_PARKED = object()
-_KERNEL_FAILED = object()
 
 
 class _SteadyStateKernel:
@@ -414,9 +394,7 @@ class _SteadyStateKernel:
     arrays (world/participant-indexed sources and destinations, byte
     counts, per-edge transfer times), the destination-sorted view used by
     the ``np.maximum.reduceat`` clock recurrence, per-kind tracer index
-    groups, the per-iteration posting-sequence consumption, and for each
-    participant the drain-position → edge mapping that materializes the
-    final iteration's results.
+    groups and the per-iteration posting-sequence consumption.
     """
 
     __slots__ = (
@@ -433,9 +411,6 @@ class _SteadyStateKernel:
         "dst_uniq",
         "kind_groups",
         "seq_per_iter",
-        "edge_payloads",
-        "edge_tags",
-        "drain_edges",
     )
 
 
@@ -620,8 +595,8 @@ class Engine:
         # drain-op) identity signature, per-run vectorization eligibility,
         # the ranks currently held at a KernelLoop yield, and cumulative
         # counters mirroring ``fast_collectives_run``. ``kernel_deopts``
-        # counts, per reason, cycles that stayed on the interpreted
-        # expansion — the deopt tests read it.
+        # counts, per reason, loops declined to the program — the deopt
+        # tests read it.
         self._kernel_cache: dict[tuple, tuple] = {}
         self._kernel_held: list[int] = []
         self._kernel_fast_ok = False
@@ -913,9 +888,8 @@ class Engine:
             if not batch and self._kernel_held:
                 # Scheduler quiescent with ranks held at KernelLoop
                 # yields: execute the steady state in closed form if the
-                # held ranks are a closed sub-world, else release them
-                # through the interpreted expansion. Either way they
-                # form the next batch.
+                # held ranks are a closed sub-world, else decline it to
+                # their own loops. Either way they form the next batch.
                 batch = self._release_held_kernels()
             if exploring and batch:
                 self._sched_ordinal += 1
@@ -991,23 +965,13 @@ class Engine:
         throw_exc: BaseException | None = None
         if state.blocked_on is not None:
             # Waking from a Wait: answer the pending yield with the request
-            # (or, for a fast collective, with this rank's result).
+            # (or, for a fast collective or a kernel hold, with its result).
             request = state.blocked_on
             state.blocked_on = None
             if not request.done:
                 raise MatchingError("rank resumed on an incomplete request")
-            if state.kernel is not None:
-                # Mid-KernelLoop wake: keep driving the loop inside the
-                # engine; the generator only resumes once the loop is done.
-                outcome = self._kernel_resume(state, request)
-                if outcome is _KERNEL_PARKED:
-                    return
-                if outcome is _KERNEL_FAILED:
-                    state.failed = True
-                    throw_exc = RankFailedError(state.rank)
-                else:
-                    send_value = outcome
-            elif request.__class__ is CollectiveRequest:
+            rcls = request.__class__
+            if rcls is CollectiveRequest or rcls is KernelHoldRequest:
                 send_value = request.result
             else:
                 send_value = self._complete_wait(state, request)
@@ -1079,14 +1043,12 @@ class Engine:
                     state.blocked_on = request
                     return
             elif cls is KernelLoop:
-                outcome = self._handle_kernel_loop(state, op)
-                if outcome is _KERNEL_PARKED:
+                hold = self._handle_kernel_loop(state, op)
+                if hold is None:
+                    send_value = False  # declined: the program loops itself
+                else:
+                    state.blocked_on = hold
                     return
-                if outcome is _KERNEL_FAILED:
-                    state.failed = True
-                    throw_exc = RankFailedError(state.rank)
-                    continue
-                send_value = outcome
             else:
                 raise MatchingError(f"rank {state.rank} yielded unknown op {op!r}")
 
@@ -1462,12 +1424,16 @@ class Engine:
     # -- steady-state kernels --------------------------------------------------
 
     def _kernel_deopt(self, reason: str) -> None:
-        """Record one deopt (cycle kept on the interpreted expansion)."""
+        """Record one deopt (loop declined to the program)."""
         self.kernel_deopts[reason] = self.kernel_deopts.get(reason, 0) + 1
         return None
 
-    def _handle_kernel_loop(self, state: _RankState, op: KernelLoop):
-        """Enter a declared steady-state loop (see :class:`KernelLoop`)."""
+    def _handle_kernel_loop(
+        self, state: _RankState, op: KernelLoop
+    ) -> KernelHoldRequest | None:
+        """Enter a declared steady-state loop (see :class:`KernelLoop`):
+        return the hold the rank waits on for the quiescence trigger, or
+        ``None`` when the run declines every loop (nothing is posted)."""
         if op.iterations < 1:
             raise MatchingError(
                 f"rank {state.rank} yielded KernelLoop with "
@@ -1478,18 +1444,16 @@ class Engine:
                 f"rank {state.rank} yielded KernelLoop whose start/drain are "
                 f"not StartAll/WaitAll ops"
             )
-        state.kernel = _KernelState(op)
         if self._kernel_fast_ok and not self.failure_ranks:
             # Hold the rank at the yield instead of posting: once the
             # scheduler goes quiescent, the run loop executes the held
             # ranks' steady state in closed form if they are a closed
-            # sub-world (or releases them through the interpreted
-            # expansion below, in the same ascending-rank order the
-            # ordinary batch step would have used — the global posting
-            # sequence is identical either way).
+            # sub-world, or declines and releases them to their own loops
+            # in the same ascending-rank order the ordinary batch step
+            # would have used — the global posting sequence is identical
+            # either way.
             self._kernel_held.append(state.rank)
-            state.blocked_on = Request(state.rank)
-            return _KERNEL_PARKED
+            return KernelHoldRequest(state.rank, op)
         if not self._kernel_fast_ok:
             # Interleaving exploration gets its own reason: the compiled
             # kernel replays the *canonical* posting sequence, which is
@@ -1499,152 +1463,82 @@ class Engine:
             else:
                 self._kernel_deopt("engine-gated")
         else:
-            # Fast path is on but failure injection is active: the loop
-            # must expand to micro-steps so the injection strikes at the
-            # exact communication points the interpreted run would offer.
+            # Fast path is on but failure injection is active: the
+            # program's loop offers the injection the exact communication
+            # points it would strike.
             self._kernel_deopt("failure-injection")
-        return self._kernel_advance(state)
-
-    def _kernel_resume(self, state: _RankState, request: Request):
-        """Wake a rank parked inside a :class:`KernelLoop` — on a drain,
-        a window collective, or a (released) hold — and keep driving."""
-        if request.__class__ is WaitAllRequest:
-            self._kernel_consume(state, request)
-        elif request.__class__ is CollectiveRequest:
-            state.kernel.window_results.append(request.result)
-        return self._kernel_advance(state)
-
-    def _kernel_consume(self, state: _RankState, request: WaitAllRequest) -> None:
-        """Consume one completed drain exactly like ``_complete_wait``;
-        only the final iteration materializes the ordered result list."""
-        kstate = state.kernel
-        consume = self._consume_recv
-        if kstate.remaining == 1:
-            kstate.results = [
-                consume(state, child) if isinstance(child, RecvRequest) else None
-                for child in request.children
-            ]
-        else:
-            for child in request.children:
-                if isinstance(child, RecvRequest):
-                    consume(state, child)
-        kstate.remaining -= 1
-
-    def _kernel_advance(self, state: _RankState):
-        """Drive a rank's :class:`KernelLoop` from inside the engine.
-
-        Executes the op's defining expansion — post start, drain, repeat,
-        then the collective window — through the ordinary op handlers, but
-        without resuming the rank's generator between iterations. Returns
-        ``_KERNEL_PARKED`` after blocking the rank, ``_KERNEL_FAILED`` when
-        failure injection strikes (at exactly the yield points the
-        expansion would have offered), or the final drain's result list.
-        """
-        kstate = state.kernel
-        op = kstate.op
-        rank = state.rank
-        failure_ranks = self.failure_ranks
-        while kstate.remaining:
-            if failure_ranks and rank in failure_ranks and not state.failed:
-                state.kernel = None
-                return _KERNEL_FAILED
-            self._handle_start_all(state, op.start)
-            if failure_ranks and rank in failure_ranks and not state.failed:
-                state.kernel = None
-                return _KERNEL_FAILED
-            request = WaitAllRequest(rank, list(op.drain.requests))
-            if not request.done:
-                state.blocked_on = request
-                return _KERNEL_PARKED
-            self._kernel_consume(state, request)
-        colls = op.colls
-        while kstate.window_at < len(colls):
-            if failure_ranks and rank in failure_ranks and not state.failed:
-                state.kernel = None
-                return _KERNEL_FAILED
-            request = self._handle_collective(state, colls[kstate.window_at])
-            kstate.window_at += 1
-            if not request.done:
-                state.blocked_on = request
-                return _KERNEL_PARKED
-            kstate.window_results.append(request.result)
-        if colls:
-            results = (kstate.results, kstate.window_results)
-        else:
-            results = kstate.results
-        state.kernel = None
-        return results
+        return None
 
     def _release_held_kernels(self) -> list[int]:
-        """Quiescence trigger: vectorize or release the held ranks.
+        """Quiescence trigger: run the held ranks closed-form or decline.
 
-        If the held ranks H share one iteration count and form a *closed
-        sub-world*, execute the whole loop in closed form (nothing is ever
-        posted); otherwise deopt. H is closed when every static send lands
-        in H (``external-destination``), every receive is non-wildcard and
-        pairs with an H send (``wildcard-recv``, ``unmatched-traffic``),
-        every window collective gathers its registered group entirely from
-        H (``window-mismatch``) and H's mailboxes on the kernel's
-        communicators are empty (``mailbox-busy``).
+        Closed-form or declined; the program's loop is the only
+        interpreter. If the held ranks H share one iteration count and
+        form a *closed sub-world*, execute the whole loop in closed form
+        (nothing is ever posted) and reply ``True``; otherwise deopt and
+        reply ``False``. H is closed when every static send lands in H
+        (``external-destination``), every receive is non-wildcard and
+        pairs with an H send (``wildcard-recv``, ``unmatched-traffic``)
+        and H's mailboxes on the kernel's communicators are empty
+        (``mailbox-busy``).
 
         Unfinished ranks outside H (bystanders) do not matter. The
         scheduler is quiescent, so each bystander is blocked on a request
         only another rank's action can complete, and the only ranks able
-        to act are H's. Released through the interpreted expansion, H's
-        loop posts nothing but the closed traffic above — no send leaves
-        H, no window collective has a member outside H, and the static
-        exact-match receives can neither take a bystander's message nor
-        miss their own — so every bystander would stay blocked until an H
-        rank leaves its loop, exactly as it does here; meanwhile nothing
-        but H's loop stamps the global posting sequence, which therefore
-        advances by the same statically derived amount either way.
+        to act are H's. Declined, H's loops post nothing but the closed
+        traffic above — no send leaves H, and the static exact-match
+        receives can neither take a bystander's message nor miss their
+        own — so every bystander would stay blocked until an H rank leaves
+        its loop, exactly as it does here; meanwhile nothing but H's loop
+        stamps the global posting sequence, which therefore advances by
+        the same statically derived amount either way.
 
-        Either way every held rank's hold request completes and the held
-        set — in ascending rank order, matching the batch order the
-        ordinary scheduler would have used — becomes the next batch: the
-        resume path then either collects the precomputed results
-        (``remaining == 0``) or drives the interpreted expansion. After a
-        kernel H therefore leaves its loop as one ascending batch, where
-        the expansion lets ranks leave as its matching unwinds: both are
-        legal schedules with identical traces and clocks, but post-loop
-        sends *racing* for one wildcard receive may arbitrate differently
-        (bystanders or not).
+        Either way every held rank's hold completes with the reply and the
+        held set — in ascending rank order, matching the batch order the
+        ordinary scheduler would have used — becomes the next batch. After
+        a kernel H therefore leaves its loop as one ascending batch, where
+        the program's loops let ranks leave as their matching unwinds:
+        both are legal schedules with identical traces and clocks, but
+        post-loop sends *racing* for one wildcard receive may arbitrate
+        differently (bystanders or not).
         """
         held = self._kernel_held
         self._kernel_held = []
         held.sort()
         states = self._states
+        holds = [states[r].blocked_on for r in held]
+        ran = False
         if self._kernel_fast_ok and not self.failure_ranks:
-            first = states[held[0]].kernel.op.iterations
-            if any(states[r].kernel.op.iterations != first for r in held):
+            first = holds[0].op.iterations
+            if any(h.op.iterations != first for h in holds):
                 self._kernel_deopt("iteration-mismatch")
             else:
-                kern = self._compile_kernel(held)
+                kern = self._compile_kernel(held, [h.op for h in holds])
                 if kern is not None:
                     if not self._kernel_quiescent(kern):
                         self._kernel_deopt("mailbox-busy")
                     else:
-                        window = self._kernel_window(kern)
-                        if window is not None:
-                            self._execute_kernel(kern, first, window)
-        for rank in held:
-            states[rank].blocked_on.done = True
+                        self._execute_kernel(kern, first)
+                        ran = True
+        for hold in holds:
+            hold.result = ran
+            hold.done = True
         return held
 
-    def _compile_kernel(self, batch: list[int]) -> "_SteadyStateKernel | None":
+    def _compile_kernel(
+        self, batch: list[int], ops: list[KernelLoop]
+    ) -> "_SteadyStateKernel | None":
         """Cached compile of the batch's cycle (a cached rejection reason
         deopts, and is counted, on every hit). Cache values pin the
         compiled-from ops so the identity keys cannot be recycled by the
         allocator mid-run."""
-        states = self._states
-        ops = [states[r].kernel.op for r in batch]
         key = tuple(
             (r, id(op.start), id(op.drain)) for r, op in zip(batch, ops)
         )
         cached = self._kernel_cache.get(key)
         if cached is None:
             cached = self._kernel_cache[key] = (
-                self._try_compile_kernel(batch),
+                self._try_compile_kernel(batch, ops),
                 ops,
             )
         outcome = cached[0]
@@ -1652,102 +1546,82 @@ class Engine:
             return self._kernel_deopt(outcome)
         return outcome
 
-    def _try_compile_kernel(self, batch: list[int]) -> "_SteadyStateKernel | str":
+    def _try_compile_kernel(
+        self, batch: list[int], ops: list[KernelLoop]
+    ) -> "_SteadyStateKernel | str":
         """Prove the participants' cycle static and closed; build the kernel
         (or return the deopt reason).
 
         Replays one steady-state scheduler batch *statically* — ranks in
-        ascending order, each rank's start plan in list order, FIFO
-        per-channel queues — which yields three things at once: the proof
-        that every send is consumed by exactly one participant receive per
-        iteration (anything else rejects), the per-iteration
-        posting-sequence consumption (sends always stamp; a receive stamps
-        only when it parks before its message arrives), and the receive →
-        sending-edge pairing used to materialize the final iteration's
-        results. A rejection returns its reason; the caller deopts to the
-        interpreted expansion.
+        ascending order, each rank's start plan in list order, per-channel
+        counts of unmatched sends and parked receives — which yields two
+        things at once: the proof that every send is consumed by exactly
+        one participant receive per iteration (anything else rejects), and
+        the per-iteration posting-sequence consumption (sends always stamp;
+        a receive stamps only when it parks before its message arrives).
+        Each drain must wait on exactly its start's receives. A rejection
+        returns its reason; the caller declines the loop.
         """
-        states = self._states
         idx_of = {r: i for i, r in enumerate(batch)}
         esrc_w: list[int] = []
         edst_w: list[int] = []
         enb: list[int] = []
         ekind: list[str] = []
-        edge_payloads: list[Any] = []
-        edge_tags: list[int] = []
-        unexpected: dict[tuple, deque] = {}
-        parked: dict[tuple, deque] = {}
-        recv_edge: dict[int, int] = {}
+        unexpected: dict[tuple, int] = {}
+        parked: dict[tuple, int] = {}
         seq_per_iter = 0
-        ops: list[KernelLoop] = []
         comm_ids: set[int] = set()
-        plan_recvs: dict[int, list] = {}
-        for rank in batch:
-            op = states[rank].kernel.op
-            ops.append(op)
+        started: list[set[int]] = []  # per rank: ids of its started receives
+        for rank, op in zip(batch, ops):
             plan = op.start.plan
             if plan is None:
                 plan = op.start.plan = self._compile_start_plan(op.start.requests)
             cols = static_wave_columns(plan)
             if cols is None:
                 return "capture-send"
-            dests, tags, send_comms, payloads, sizes, kinds = cols
+            dests, _, send_comms, _, sizes, kinds = cols
             if any(d not in idx_of for d in dests):
                 return "external-destination"
-            edge = len(esrc_w)
             esrc_w.extend([rank] * len(dests))
             edst_w.extend(dests)
             enb.extend(sizes)
             ekind.extend(kinds)
-            edge_payloads.extend(payloads)
-            edge_tags.extend(tags)
             comm_ids.update(send_comms)
             seq_per_iter += len(dests)
-            recvs = []
+            need = set()
             for code, data in plan:
                 if code == PLAN_SEND_STATIC:
                     chan = (data[2], data[0], rank, data[1])
-                    queue = parked.get(chan)
-                    if queue:
-                        recv_edge[id(queue.popleft())] = edge
+                    if parked.get(chan):
+                        parked[chan] -= 1
                     else:
-                        unexpected.setdefault(chan, deque()).append(edge)
-                    edge += 1
+                        unexpected[chan] = unexpected.get(chan, 0) + 1
                 else:  # PLAN_RECV (capture sends were rejected above)
                     req = data
                     if req.source < 0 or req.tag < 0:
                         return "wildcard-recv"
-                    recvs.append(req)
+                    need.add(id(req))
                     comm_ids.add(req.comm_id)
                     chan = (req.comm_id, rank, req.source, req.tag)
-                    queue = unexpected.get(chan)
-                    if queue:
-                        recv_edge[id(req)] = queue.popleft()
+                    if unexpected.get(chan):
+                        unexpected[chan] -= 1
                     else:
-                        parked.setdefault(chan, deque()).append(req)
+                        parked[chan] = parked.get(chan, 0) + 1
                         seq_per_iter += 1
-            plan_recvs[rank] = recvs
+            started.append(need)
         if any(unexpected.values()) or any(parked.values()):
             return "unmatched-traffic"
         if not esrc_w:
             return "no-traffic"
-
-        drain_edges: list[list[int]] = []
-        for i, rank in enumerate(batch):
-            need = {id(r) for r in plan_recvs[rank]}
+        for need, op in zip(started, ops):
             have = set()
-            edges = []
-            for child in ops[i].drain.requests:
+            for child in op.drain.requests:
                 if isinstance(child, RecvRequest):
                     have.add(id(child))
-                    edges.append(recv_edge.get(id(child), -1))
-                elif isinstance(child, PersistentSendRequest):
-                    edges.append(-1)
-                else:
+                elif not isinstance(child, PersistentSendRequest):
                     return "dynamic-drain"
             if need != have:
                 return "drain-mismatch"
-            drain_edges.append(edges)
 
         kern = _SteadyStateKernel()
         kern.participants = tuple(batch)
@@ -1764,7 +1638,8 @@ class Engine:
         )
         # Per-edge transfer times are iteration-invariant; transfer_times
         # is elementwise and bit-identical to the scalar path, so reusing
-        # them every iteration reproduces the interpreted arrivals exactly.
+        # them every iteration reproduces the program loop's arrivals
+        # exactly.
         kern.transfer = self.network.transfer_times(
             kern.esrc_w, kern.edst_w, kern.enb
         )
@@ -1778,9 +1653,6 @@ class Engine:
             kind: np.array(idx, dtype=np.int64) for kind, idx in groups.items()
         }
         kern.seq_per_iter = seq_per_iter
-        kern.edge_payloads = edge_payloads
-        kern.edge_tags = edge_tags
-        kern.drain_edges = drain_edges
         return kern
 
     def _kernel_quiescent(self, kern: "_SteadyStateKernel") -> bool:
@@ -1799,95 +1671,25 @@ class Engine:
                     return False
         return True
 
-    def _kernel_window(self, kern: "_SteadyStateKernel"):
-        """Validate (and fuse) the participants' trailing collective windows.
-
-        Returns a list of ``(comm_id, specs)`` runs for
-        :func:`~repro.simmpi.collectives.execute_fused_window` — back-to-back
-        same-communicator positions fuse into one run — or ``None`` on any
-        mismatch (deopt). Every collective must gather its registered group
-        exactly, entirely from kernel participants, with matching
-        kind/tag/root across members.
-
-        Reads the *current* KernelLoop ops off the rank states, not the
-        cached compile's: a chunked steady loop reuses its start/drain ops
-        (same compiled kernel) while minting fresh collective windows —
-        with fresh tags — per chunk.
-        """
-        states = self._states
-        ops = [states[r].kernel.op for r in kern.participants]
-        length = len(ops[0].colls)
-        if any(len(op.colls) != length for op in ops):
-            return self._kernel_deopt("window-mismatch")
-        if length == 0:
-            return []
-        runs: list[list] = []  # [comm_id, specs, window positions]
-        for j in range(length):
-            by_comm: dict[int, list] = {}
-            for i, op in enumerate(ops):
-                c = op.colls[j]
-                if c.__class__ is not CollectiveOp:
-                    return self._kernel_deopt("window-mismatch")
-                by_comm.setdefault(c.comm_id, []).append(
-                    (kern.participants[i], c)
-                )
-            for comm_id, members in by_comm.items():
-                group = self._groups.get(comm_id)
-                if (
-                    group is None
-                    or len(members) != len(group)
-                    or {r for r, _ in members} != set(group)
-                ):
-                    return self._kernel_deopt("window-mismatch")
-                first = members[0][1]
-                if first.kind not in _coll.FAST_COLLECTIVES:
-                    return self._kernel_deopt("window-mismatch")
-                if any(
-                    m.kind != first.kind
-                    or m.tag != first.tag
-                    or m.root != first.root
-                    for _, m in members
-                ):
-                    return self._kernel_deopt("window-mismatch")
-                grank = self._group_rank[comm_id]
-                values: list[Any] = [None] * len(group)
-                op_fns: list[Callable | None] = [None] * len(group)
-                for r, m in members:
-                    values[grank[r]] = m.value
-                    op_fns[grank[r]] = m.op
-                spec = (first.kind, values, op_fns, first.root, first.trace_kind)
-                if runs and runs[-1][0] == comm_id and len(by_comm) == 1:
-                    runs[-1][1].append(spec)
-                    runs[-1][2].append(j)
-                else:
-                    runs.append([comm_id, [spec], [j]])
-        return runs
-
-    def _execute_kernel(
-        self, kern: "_SteadyStateKernel", n_iter: int, window: list
-    ) -> None:
+    def _execute_kernel(self, kern: "_SteadyStateKernel", n_iter: int) -> None:
         """Run all ``n_iter`` iterations of the compiled cycle in closed
         form — no message is ever posted, no generator resumed.
 
-        The clock recurrence per iteration is exactly the interpreted
-        schedule's: every participant posts its sends at its current clock
+        The clock recurrence per iteration is exactly the program loop's
+        schedule: every participant posts its sends at its current clock
         (posting never advances the poster), and each receiver's next
         clock is ``max(own clock, max over in-edges (sender clock +
         transfer))`` — the same IEEE adds the wave flush performs and the
         same (exact) float maxima the sequential waitall consumes would
         take. Traces book all iterations through one
-        ``record_many(..., repeats=...)`` per kind; the posting-sequence
+        ``record_many(..., repeats=...)`` per kind and the posting-sequence
         counter advances by the statically derived per-iteration
-        consumption; the collective window prices off the folded clocks.
-        Each participant's result list (final iteration's payloads in
-        drain order) lands on its kernel state with ``remaining = 0`` so
-        the ordinary resume hands it straight to the generator.
+        consumption.
         """
         states = self._states
         parts = kern.participants
-        nparts = len(parts)
         c = np.fromiter(
-            (states[r].ctx.clock for r in parts), dtype=np.float64, count=nparts
+            (states[r].ctx.clock for r in parts), dtype=np.float64, count=len(parts)
         )
         src_idx = kern.src_idx
         transfer = kern.transfer
@@ -1910,43 +1712,8 @@ class Engine:
                     repeats=n_iter,
                 )
         self._seq += n_iter * kern.seq_per_iter
-
-        wres: list[list] | None = None
-        if window:
-            pos = {r: i for i, r in enumerate(parts)}
-            n_colls = len(states[parts[0]].kernel.op.colls)
-            wres = [[None] * n_colls for _ in parts]
-            for comm_id, specs, positions in window:
-                group = self._groups[comm_id]
-                gidx = np.fromiter(
-                    (pos[r] for r in group), dtype=np.int64, count=len(group)
-                )
-                results_per_spec, new_clocks = _coll.execute_fused_window(
-                    specs,
-                    clocks=c[gidx],
-                    group=np.asarray(group, dtype=np.int64),
-                    network=self.network,
-                    tracer=tracer,
-                )
-                c[gidx] = new_clocks
-                for j, res in zip(positions, results_per_spec):
-                    for g, world in enumerate(group):
-                        wres[pos[world]][j] = res[g]
-                self.fast_collectives_run += len(specs)
-
-        payloads = kern.edge_payloads
-        for i, rank in enumerate(parts):
-            state = states[rank]
-            kstate = state.kernel
-            kstate.results = [
-                payloads[edge] if edge >= 0 else None
-                for edge in kern.drain_edges[i]
-            ]
-            if wres is not None:
-                kstate.window_results = wres[i]
-            kstate.remaining = 0
-            kstate.window_at = len(kstate.op.colls)
-            state.ctx.clock = float(c[i])
+        for rank, clock in zip(parts, c.tolist()):
+            states[rank].ctx.clock = clock
         self.kernel_runs += 1
         self.kernel_iterations += n_iter
 

@@ -5,11 +5,13 @@ suite and the fuzzer's ``engine_divergence`` oracle compare
 :class:`~repro.simmpi.engine.Engine` against (equal results, bit-identical
 clocks, byte-identical traces). It overrides two existing methods, and the
 engine never asks which class it is: ``_setup_run`` clears both per-run
-fast-path gates (collectives run the point-to-point cascade, a
-``KernelLoop`` its interpreted expansion) and ``_post_send`` flushes the
-one-slot pricing wave after every send (scalar ``transfer_time``,
-per-message ``TraceRecorder.record``). A reference run therefore never
-reaches ``transfer_times`` or ``record_many``
+fast-path gates (collectives run the point-to-point cascade, and every
+``KernelLoop`` is declined) and ``_post_send`` flushes the one-slot
+pricing wave after every send (scalar ``transfer_time``, per-message
+``TraceRecorder.record``). A kernel loop is closed-form or declined; the
+program's loop is the only interpreter — so a reference run of a
+kernel-declaring program *is* that program's own loop. A reference run
+never reaches ``transfer_times`` or ``record_many``
 (``tests/simmpi/test_reference_engine.py`` pins this).
 """
 

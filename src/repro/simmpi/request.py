@@ -539,3 +539,23 @@ class CollectiveRequest(Request):
 
     def describe(self) -> str:
         return f"collective {self.kind} (comm {self.comm_id}, tag {self.tag})"
+
+
+class KernelHoldRequest(Request):
+    """Handle a rank is held on at a :class:`~repro.simmpi.engine.KernelLoop`
+    yield until the scheduler goes quiescent.
+
+    ``op`` is the declared loop; ``result`` is the engine's reply, set when
+    the hold completes: ``True`` once the loop ran closed-form, ``False``
+    when it was declined and nothing was posted.
+    """
+
+    __slots__ = ("op", "result")
+
+    def __init__(self, owner: int, op: Any):
+        super().__init__(owner)
+        self.op = op
+        self.result = False
+
+    def describe(self) -> str:
+        return f"kernel loop hold ({self.op.iterations} iterations)"

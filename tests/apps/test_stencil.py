@@ -1,7 +1,7 @@
 """Process-grid and halo-exchange tests.
 
 The halo recipe (:class:`repro.apps.stencil.HaloExchange`) runs under two
-drivers; both, and the kernel loop over its wave, are checked against
+drivers; both, and ``Communicator.repeat`` over it, are checked against
 ``hand_halo_exchange``, the exchange written out by hand with ``isend`` /
 ``irecv`` / ``wait``.
 """
@@ -12,9 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.apps import HaloExchange, ProcessGrid
-from repro.simmpi import Engine, KernelLoop, TraceRecorder, run_program
+from repro.simmpi import Engine, TraceRecorder, run_program
 
-from networks import assert_runs_equal, hand_halo_exchange, run_engine
+from networks import (
+    assert_matches_reference,
+    assert_runs_equal,
+    hand_halo_exchange,
+    run_engine,
+)
 
 DRIVERS = (False, True)  # waves=False: per-message driver; True: wave driver
 
@@ -216,8 +221,9 @@ class TestHaloWave:
             assert_runs_equal(ref, run_engine(recipe(waves), g.nranks), f"waves={waves}")
 
     def test_synthetic_wave_matches_synthetic_exchange(self):
-        """Both drivers and the kernel loop over the recipe's wave match
-        the hand-written synthetic exchange."""
+        """Both drivers and ``repeat`` over the recipe match the
+        hand-written synthetic exchange — closed-form on ``Engine``,
+        declined to its own loop on ``ReferenceEngine``."""
         g = ProcessGrid(4, 2, 8, 8)
 
         def oracle(ctx):
@@ -236,15 +242,15 @@ class TestHaloWave:
 
         def kernel(ctx):
             halo = HaloExchange(ctx.comm, g, nfields=3)
-            yield KernelLoop(*ctx.comm.wave(halo.recipe), 3)
+            yield from ctx.comm.repeat(halo.recipe, 3)
             return ctx.now
 
         ref = run_engine(oracle, g.nranks)
         assert max(ref["clocks"]) > 0
         for waves in DRIVERS:
             assert_runs_equal(ref, run_engine(recipe(waves), g.nranks), f"waves={waves}")
-        kernelled = run_engine(kernel, g.nranks)
-        assert_runs_equal(ref, kernelled, "kernel loop")
+        _, kernelled = assert_matches_reference(kernel, g.nranks)
+        assert_runs_equal(ref, kernelled, "repeat")
         assert kernelled["engine"].kernel_iterations == 3
 
     def test_single_rank_wave_is_empty_noop(self):

@@ -1,6 +1,6 @@
 """Fixtures shared by the engine-equivalence suites.
 
-A clock-sensitive network, the persistent ring programs, the hand-written
+A clock-sensitive network, the ring recipe and its two programs, the hand-written
 halo exchange every driver of the app recipe is checked against, and one
 run-and-compare helper: :func:`assert_matches_reference` runs a program on
 :class:`~repro.simmpi.ReferenceEngine` and on the production
@@ -13,9 +13,9 @@ import numpy as np
 from repro.apps.stencil import HALO_TAG_BASE
 from repro.simmpi import (
     Engine,
-    KernelLoop,
     LinkParameters,
     NetworkModel,
+    Post,
     ReferenceEngine,
     TraceRecorder,
 )
@@ -41,40 +41,39 @@ def two_level_network() -> NetworkModel:
     )
 
 
-def ring_ops(comm, members=None):
-    """Persistent ring wave: send right, receive from the left — over the
+def ring_recipe(comm, members=None):
+    """Ring exchange recipe: send right, receive from the left — over the
     whole communicator, or over the ring of ``members`` (ranks of it)."""
     if members is None:
         members = range(comm.size)
     at = members.index(comm.rank)
     right = members[(at + 1) % len(members)]
     left = members[(at - 1) % len(members)]
-    send = comm.send_init(
-        None, dest=right, tag=RING_TAG, nbytes=RING_BYTES, kind="ring"
+    return (
+        Post(True, right, RING_TAG, RING_BYTES, "ring"),
+        Post(False, left, RING_TAG),
     )
-    recv = comm.recv_init(source=left, tag=RING_TAG)
-    start = comm.start_all_op((send, recv))
-    drain = comm.waitall_op((recv,))
-    return start, drain
 
 
 def kernel_ring_program(iterations):
+    """The ring loop offered to the engine through ``Communicator.repeat``."""
+
     def program(ctx):
-        start, drain = ring_ops(ctx.comm)
-        results = yield KernelLoop(start, drain, iterations)
-        return results
+        yield from ctx.comm.repeat(ring_recipe(ctx.comm), iterations)
+        return ctx.rank
 
     return program
 
 
 def interpreted_ring_program(iterations):
+    """The same ring loop written out over the recipe's wave ops."""
+
     def program(ctx):
-        start, drain = ring_ops(ctx.comm)
-        results = None
+        start, drain = ctx.comm.wave(ring_recipe(ctx.comm))
         for _ in range(iterations):
             yield start
-            results = yield drain
-        return results
+            yield drain
+        return ctx.rank
 
     return program
 

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.simmpi import DeadlockError, Engine, KernelLoop, RankFailedError
+from repro.simmpi import (
+    DeadlockError,
+    Engine,
+    Post,
+    RankFailedError,
+    ReferenceEngine,
+    TraceRecorder,
+)
 
 
 class TestFailureRanks:
@@ -72,28 +79,32 @@ class TestFailureRanks:
 
 class TestKernelLoopFailures:
     """Failure injection must behave exactly as today when the steady
-    loop arrives as a KernelLoop: active failures gate the vectorized
-    path off, the micro-step expansion strikes at the same communication
-    points, and deadlock attribution names the same stuck ranks."""
+    loop arrives through ``Communicator.repeat``: active failures make the
+    engine decline every loop, the program's own loop offers the injection
+    the same communication points as the hand-written loop, and deadlock
+    attribution names the same stuck ranks."""
 
     @staticmethod
-    def _ring_program(kernel, iterations=3):
+    def _loop(comm, recipe, iterations, kernel):
+        """``recipe`` ``iterations`` times: ``repeat`` or the hand loop
+        over the same wave ops."""
+        if kernel:
+            yield from comm.repeat(recipe, iterations)
+            return
+        start, drain = comm.wave(recipe)
+        for _ in range(iterations):
+            yield start
+            yield drain
+
+    @classmethod
+    def _ring_program(cls, kernel, iterations=3):
         def program(ctx):
             comm = ctx.comm
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            send = comm.send_init(
-                None, dest=right, tag=5, nbytes=512, kind="ring"
+            recipe = (
+                Post(True, (comm.rank + 1) % comm.size, 5, 512, "ring"),
+                Post(False, (comm.rank - 1) % comm.size, 5),
             )
-            recv = comm.recv_init(source=left, tag=5)
-            start = comm.start_all_op((send, recv))
-            drain = comm.waitall_op((recv,))
-            if kernel:
-                yield KernelLoop(start, drain, iterations)
-            else:
-                for _ in range(iterations):
-                    yield start
-                    yield drain
+            yield from cls._loop(comm, recipe, iterations, kernel)
             return f"done-{ctx.rank}"
 
         return program
@@ -106,7 +117,7 @@ class TestKernelLoopFailures:
             engine.failure_ranks.add(2)
             with pytest.raises(DeadlockError) as err:
                 engine.run(self._ring_program(kernel))
-            blocked[kernel] = set(err.value.blocked)
+            blocked[kernel] = err.value.blocked
         assert blocked[True] == blocked[False]
         assert 3 in blocked[True]
 
@@ -117,60 +128,77 @@ class TestKernelLoopFailures:
         def self_program(kernel):
             def program(ctx):
                 comm = ctx.comm
-                send = comm.send_init(
-                    None, dest=comm.rank, tag=2, nbytes=64, kind="self"
+                recipe = (
+                    Post(True, comm.rank, 2, 64, "self"),
+                    Post(False, comm.rank, 2),
                 )
-                recv = comm.recv_init(source=comm.rank, tag=2)
-                start = comm.start_all_op((send, recv))
-                drain = comm.waitall_op((recv,))
-                if kernel:
-                    yield KernelLoop(start, drain, 4)
-                else:
-                    for _ in range(4):
-                        yield start
-                        yield drain
+                yield from self._loop(comm, recipe, 4, kernel)
                 return f"done-{ctx.rank}"
 
             return program
 
-        outcomes = {}
-        for kernel in (False, True):
-            engine = Engine(3)
+        outcomes = []
+        for kernel, engine_cls in (
+            (False, Engine), (True, Engine), (True, ReferenceEngine)
+        ):
+            engine = engine_cls(3)
             engine.failure_ranks.add(1)
-            outcomes[kernel] = (
-                engine.run(self_program(kernel)),
-                engine.rank_times(),
-                engine.kernel_runs,
+            outcomes.append(
+                (engine.run(self_program(kernel)), engine.rank_times())
             )
-        assert outcomes[True][0] == outcomes[False][0] == [
-            "done-0", None, "done-2"
-        ]
-        assert outcomes[True][1] == outcomes[False][1]
-        # Active failures gate the vectorized kernel off entirely.
-        assert outcomes[True][2] == 0
+            # Active failures decline every kernel loop.
+            assert engine.kernel_runs == 0
+        assert outcomes[0][0] == ["done-0", None, "done-2"]
+        assert outcomes[1] == outcomes[0] == outcomes[2]
 
     def test_program_can_catch_failure_inside_kernel(self):
-        """RankFailedError surfaces at the KernelLoop yield, where the
-        program can clean up — exactly like a failure at `yield start`."""
-        cleaned = []
+        """A failure armed mid-loop surfaces inside ``repeat``'s fallback
+        loop, at the yield the hand-written loop offers, where the program
+        can clean up. Rank 2 is armed from the start, so every loop is
+        declined on the spot and both programs run one schedule."""
+        iterations = 5
 
-        def program(ctx):
-            comm = ctx.comm
-            send = comm.send_init(
-                None, dest=comm.rank, tag=4, nbytes=32, kind="self"
+        def program(kernel, cleaned):
+            def run(ctx):
+                comm = ctx.comm
+                if ctx.rank == 2:
+                    yield from comm.send(None, 2, 0, nbytes=8)
+                    return "unreachable"
+                partner = 1 - ctx.rank
+                recipe = (
+                    Post(True, partner, 4, 32, "pair"),
+                    Post(False, partner, 4),
+                )
+                if ctx.rank == 1:
+                    # The partner arms rank 0 after two exchanges, then
+                    # feeds it one more message to wake it.
+                    yield from self._loop(comm, recipe, 2, kernel=False)
+                    ctx.engine.failure_ranks.add(0)
+                    yield from comm.send(None, partner, 4, nbytes=32, kind="pair")
+                    return "armed"
+                try:
+                    yield from self._loop(comm, recipe, iterations, kernel)
+                except RankFailedError:
+                    cleaned.append(ctx.rank)
+                    raise
+                return "survived"
+
+            return run
+
+        outcomes = {}
+        for kernel in (False, True):
+            cleaned = []
+            tracer = TraceRecorder(3)
+            engine = Engine(3, tracer=tracer)
+            engine.failure_ranks.add(2)
+            results = engine.run(program(kernel, cleaned))
+            outcomes[kernel] = (
+                results, cleaned, engine.rank_times(), tracer.count_matrix.tolist()
             )
-            recv = comm.recv_init(source=comm.rank, tag=4)
-            start = comm.start_all_op((send, recv))
-            drain = comm.waitall_op((recv,))
-            try:
-                yield KernelLoop(start, drain, 2)
-            except RankFailedError:
-                cleaned.append(ctx.rank)
-                raise
-            return "survived"
-
-        engine = Engine(2)
-        engine.failure_ranks.add(0)
-        results = engine.run(program)
+            assert engine.kernel_deopts == ({"failure-injection": 1} if kernel else {})
+        assert outcomes[True] == outcomes[False]
+        results, cleaned, _, counts = outcomes[True]
+        assert results == [None, "armed", None]
         assert cleaned == [0]
-        assert results == [None, "survived"]
+        # Struck inside the loop: after the first iteration, before the last.
+        assert 1 <= counts[0][1] < iterations

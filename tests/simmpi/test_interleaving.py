@@ -22,6 +22,7 @@ from repro.simmpi import (
 )
 
 from networks import (
+    assert_matches_reference,
     assert_runs_equal,
     interpreted_ring_program,
     kernel_ring_program,
@@ -230,19 +231,19 @@ class TestDeterministicProgramEquivalence:
 class TestKernelGating:
     def test_kernel_deopts_under_exploration(self):
         """Kernelization assumes the canonical schedule; an exploring
-        engine must run the interpreted expansion and say why."""
+        engine must decline every loop to the program and say why."""
         ref = run_engine(interpreted_ring_program(5), 4)
-        kern = run_engine(
+        _, kern = assert_matches_reference(
             kernel_ring_program(5), 4, config=EngineConfig(schedule=2)
         )
         assert kern["engine"].kernel_runs == 0
         assert kern["engine"].kernel_deopts.get("non-canonical-schedule") == 4
-        # Deopted-but-permuted still matches canonical bit for bit
+        # Declined-and-permuted still matches canonical bit for bit
         # (the ring wave has no wildcards).
         assert_runs_equal(ref, kern, "kernel deopt under exploration")
 
     def test_kernel_fast_path_restored_without_seed(self):
-        kern = run_engine(kernel_ring_program(5), 4)
+        _, kern = assert_matches_reference(kernel_ring_program(5), 4)
         assert kern["engine"].kernel_runs == 1
         assert kern["engine"].kernel_deopts == {}
 

@@ -1,15 +1,17 @@
-"""Equivalence and deopt suite for kernelized steady-state loops.
+"""Equivalence, decline and deopt suite for kernelized steady-state loops.
 
-A rank program can hand the engine its whole steady loop as one
-:class:`~repro.simmpi.KernelLoop` op. When the ranks that do so share an
-iteration count and form a closed sub-world (purely static wave traffic
-that never leaves them), the engine compiles their iteration into a
-closed-form kernel (no posting, no generator wakeups) however many
-blocked bystanders exist; otherwise it deopts to the interpreted
-micro-step expansion. Both paths must be indistinguishable from writing
-the loop out by hand: identical results, bit-identical per-rank virtual
-clocks, byte-identical traces. Every deopt reason is exercised here and
-counted via ``Engine.kernel_deopts``.
+``Communicator.repeat(recipe, iterations)`` offers a whole steady loop to
+the engine as one :class:`~repro.simmpi.KernelLoop` op. When the ranks that
+do so share an iteration count and form a closed sub-world (purely static
+wave traffic that never leaves them), the engine executes their loops in
+closed form (no posting, no generator wakeups) however many blocked
+bystanders exist and replies ``True``; otherwise it declines — posts
+nothing, replies ``False`` — and ``repeat`` runs the loop itself. Both
+outcomes must be indistinguishable from writing the loop out by hand:
+identical results, bit-identical per-rank virtual clocks, byte-identical
+traces. Every deopt reason is exercised here and counted via
+``Engine.kernel_deopts``; :class:`~repro.simmpi.ReferenceEngine` declines
+every loop, so its run is the program's own loop.
 """
 
 import numpy as np
@@ -17,20 +19,64 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simmpi import ANY_SOURCE, Engine, KernelLoop, ReferenceEngine, TraceRecorder
-from repro.simmpi.collectives import max_op, sum_op
+from repro.simmpi import (
+    ANY_SOURCE,
+    Engine,
+    KernelLoop,
+    Post,
+    ReferenceEngine,
+    TraceRecorder,
+)
+from repro.simmpi.collectives import sum_op
 from repro.simmpi.errors import MatchingError
 
 from networks import (
+    RING_BYTES,
     RING_TAG,
     assert_matches_reference,
     assert_runs_equal,
     interpreted_ring_program,
     kernel_ring_program,
-    ring_ops,
+    ring_recipe,
     run_engine,
     two_level_network,
 )
+
+
+def hand_loop(comm, recipe, iterations):
+    """``recipe`` run ``iterations`` times written out by hand: ``isend`` /
+    ``irecv`` in recipe order, then one ``wait`` per receive."""
+    for _ in range(iterations):
+        recvs = []
+        for p in recipe:
+            if p.send:
+                yield from comm.isend(
+                    p.buffer, p.peer, p.tag, nbytes=p.nbytes, kind=p.kind
+                )
+            else:
+                recvs.append((yield from comm.irecv(p.peer, p.tag)))
+        for req in recvs:
+            yield from comm.wait(req)
+
+
+def repeat_or_hand(build, iterations):
+    """Program factory: ``build(comm)`` gives the recipe, run
+    ``iterations`` times (or ``iterations(rank)``); ``kernel`` picks
+    ``comm.repeat`` over the hand-written loop."""
+
+    def factory(kernel):
+        def program(ctx):
+            comm = ctx.comm
+            n = iterations(ctx.rank) if callable(iterations) else iterations
+            if kernel:
+                yield from comm.repeat(build(comm), n)
+            else:
+                yield from hand_loop(comm, build(comm), n)
+            return n
+
+        return program
+
+    return factory
 
 
 class TestKernelEquivalence:
@@ -44,110 +90,121 @@ class TestKernelEquivalence:
         assert kern["engine"].kernel_deopts == {}
 
     def test_interpreted_kernel_op_matches_too(self, size=4, iterations=6):
-        """``ReferenceEngine`` still executes the op — via micro-steps."""
+        """``ReferenceEngine`` declines every loop: ``repeat`` runs it."""
         ref = run_engine(interpreted_ring_program(iterations), size)
-        micro = run_engine(
+        declined = run_engine(
             kernel_ring_program(iterations), size, engine_cls=ReferenceEngine
         )
-        assert_runs_equal(ref, micro, "micro-step kernel op vs loop")
-        assert micro["engine"].kernel_runs == 0
-        assert micro["engine"].kernel_deopts.get("engine-gated") == size
+        assert_runs_equal(ref, declined, "declined repeat vs loop")
+        assert declined["engine"].kernel_runs == 0
+        assert declined["engine"].kernel_deopts.get("engine-gated") == size
+
+    @pytest.mark.parametrize("receives", [True, False])
+    def test_repeat_equals_hand_written_loop(self, receives):
+        """Closed-form on ``Engine``, declined on ``ReferenceEngine``, and
+        written out by hand: one run. Without receives, even ranks' recipes
+        are send-only (``repeat`` then yields no drain) and odd ranks'
+        receive-only."""
+
+        def build(comm):
+            if receives:
+                return ring_recipe(comm)
+            if comm.rank % 2 == 0:
+                return (Post(True, comm.rank + 1, RING_TAG, RING_BYTES, "ring"),)
+            return (Post(False, comm.rank - 1, RING_TAG),)
+
+        factory = repeat_or_hand(build, 5)
+        hand = run_engine(factory(False), 4)
+        assert max(hand["clocks"]) > 0
+        _, kern = assert_matches_reference(factory(True), 4)
+        assert_runs_equal(hand, kern, "repeat vs hand-written loop")
+        assert kern["engine"].kernel_runs == 1
+        assert kern["engine"].kernel_iterations == 5
+
+    def test_declined_loop_posts_nothing_before_replying(self):
+        """A declined loop replies ``False`` with nothing posted: the
+        posting-sequence counter, the pool's live slots and the tracer
+        totals are what they were at the yield. Held-then-declined
+        (``Engine``: payload-capturing sends) and declined on the spot
+        (``ReferenceEngine``) alike; the first rank resumed after the
+        hold is checked, since later ones follow its posts."""
+
+        def program(ctx):
+            comm = ctx.comm
+            engine = ctx.engine
+            tracer = engine.tracer
+            recipe = (
+                Post(True, (comm.rank + 1) % comm.size, 9, 32, "ring",
+                     np.full(4, float(ctx.rank))),
+                Post(False, (comm.rank - 1) % comm.size, 9),
+            )
+            start, drain = comm.wave(recipe)
+
+            def snapshot():
+                return (
+                    engine._seq,
+                    engine.pool.live_slots,
+                    tracer.total_messages,
+                    tracer.total_bytes,
+                )
+
+            before = snapshot()
+            reply = yield KernelLoop(start, drain, 3)
+            after = snapshot()
+            for _ in range(3):
+                yield start
+                yield drain
+            return reply, before == after
+
+        for engine_cls in (Engine, ReferenceEngine):
+            out = run_engine(program, 3, engine_cls=engine_cls)
+            assert [reply for reply, _ in out["results"]] == [False] * 3
+            assert out["results"][0][1], engine_cls.__name__
+            if engine_cls is ReferenceEngine:
+                assert all(same for _, same in out["results"])
+            assert out["engine"].kernel_runs == 0
+            assert out["tracer"].total_messages == 9
 
     def test_sequential_kernels_reuse_the_compiled_kernel(self):
-        """Chunked loops (same ops, several KernelLoop yields) hit the
+        """Chunked loops (one recipe, several ``repeat`` calls) hit the
         kernel cache: one compilation, one run per chunk."""
 
         def program(ctx):
-            start, drain = ring_ops(ctx.comm)
+            recipe = ring_recipe(ctx.comm)
             for chunk in (3, 4):
-                yield KernelLoop(start, drain, chunk)
-            return "ok"
+                yield from ctx.comm.repeat(recipe, chunk)
+            return ctx.rank
 
-        def interpreted(ctx):
-            start, drain = ring_ops(ctx.comm)
-            for _ in range(7):
-                yield start
-                yield drain
-            return "ok"
-
-        ref = run_engine(interpreted, 4)
+        ref = run_engine(interpreted_ring_program(7), 4)
         kern = run_engine(program, 4)
         assert_runs_equal(ref, kern, "chunked kernels vs loop")
         assert kern["engine"].kernel_runs == 2
         assert kern["engine"].kernel_iterations == 7
+        assert len(kern["engine"]._kernel_cache) == 1
 
-    def test_fused_collective_window(self):
-        """A trailing allreduce rides in the kernel's fused window and the
-        per-rank result comes back through the (results, window) reply."""
+    def test_allreduce_after_repeat(self):
+        """A loop then a trailing allreduce: the kernel runs closed-form
+        and the allreduce takes the fast collective path, same results,
+        clocks and traces as the hand-written loop on the cascade."""
 
-        def kernelized(ctx):
-            comm = ctx.comm
-            start, drain = ring_ops(comm)
-            _, window = yield KernelLoop(
-                start, drain, 4, (comm.allreduce_op(float(ctx.rank), sum_op),)
-            )
-            return window[0]
+        def program(kernel):
+            def run(ctx):
+                comm = ctx.comm
+                recipe = ring_recipe(comm)
+                if kernel:
+                    yield from comm.repeat(recipe, 4)
+                else:
+                    yield from hand_loop(comm, recipe, 4)
+                return (yield from comm.allreduce(float(ctx.rank), sum_op))
 
-        def interpreted(ctx):
-            comm = ctx.comm
-            start, drain = ring_ops(comm)
-            for _ in range(4):
-                yield start
-                yield drain
-            total = yield from comm.allreduce(float(ctx.rank), sum_op)
-            return total
+            return run
 
-        ref = run_engine(interpreted, 4)
-        kern = run_engine(kernelized, 4)
-        assert_runs_equal(ref, kern, "fused window vs trailing allreduce")
+        hand = run_engine(program(False), 4, engine_cls=ReferenceEngine)
+        _, kern = assert_matches_reference(program(True), 4)
+        assert_runs_equal(hand, kern, "repeat + allreduce vs hand loop")
         assert kern["results"] == [6.0] * 4
         assert kern["engine"].kernel_runs == 1
-
-    def test_multi_collective_window(self):
-        """Back-to-back same-group collectives fuse into one window."""
-
-        def kernelized(ctx):
-            comm = ctx.comm
-            start, drain = ring_ops(comm)
-            _, window = yield KernelLoop(
-                start,
-                drain,
-                3,
-                (
-                    comm.allreduce_op(float(ctx.rank), sum_op),
-                    comm.allreduce_op(float(ctx.rank), max_op),
-                ),
-            )
-            return window
-
-        def interpreted(ctx):
-            comm = ctx.comm
-            start, drain = ring_ops(comm)
-            for _ in range(3):
-                yield start
-                yield drain
-            total = yield from comm.allreduce(float(ctx.rank), sum_op)
-            peak = yield from comm.allreduce(float(ctx.rank), max_op)
-            return [total, peak]
-
-        ref = run_engine(interpreted, 4)
-        kern = run_engine(kernelized, 4)
-        assert_runs_equal(ref, kern, "two-collective window")
-        assert kern["results"] == [[6.0, 3.0]] * 4
-
-    def test_results_are_final_iteration_payloads(self):
-        """The reply is the last drain's payload list (captured sends
-        deliver real payloads; intermediate iterations are discarded)."""
-
-        def program(ctx):
-            comm = ctx.comm
-            start, drain = ring_ops(comm)
-            results = yield KernelLoop(start, drain, 3)
-            return results
-
-        out = run_engine(program, 2)
-        # Synthetic (metadata-only) waves drain ``None`` payloads.
-        assert out["results"] == [[None]] * 2
+        assert kern["engine"].fast_collectives_run == 1
 
 
 class TestKernelDeopts:
@@ -177,13 +234,13 @@ class TestKernelDeopts:
             }
 
         gated = with_log(Engine)
-        micro = with_log(ReferenceEngine)
-        assert_runs_equal(micro, gated, "message_log gating")
+        declined = with_log(ReferenceEngine)
+        assert_runs_equal(declined, gated, "message_log gating")
         assert gated["engine"].kernel_runs == 0
         assert gated["engine"].kernel_deopts.get("engine-gated") == 4
         assert (
             gated["engine"].message_log.entries
-            == micro["engine"].message_log.entries
+            == declined["engine"].message_log.entries
         )
 
     def test_partial_world_deopts(self):
@@ -193,76 +250,48 @@ class TestKernelDeopts:
 
         def mixed(kernel_half):
             def program(ctx):
-                start, drain = ring_ops(ctx.comm)
+                comm = ctx.comm
+                recipe = ring_recipe(comm)
                 if kernel_half and ctx.rank % 2 == 0:
-                    yield KernelLoop(start, drain, iterations)
+                    yield from comm.repeat(recipe, iterations)
                 else:
-                    for _ in range(iterations):
-                        yield start
-                        yield drain
+                    yield from hand_loop(comm, recipe, iterations)
                 return ctx.rank
 
             return program
 
         ref = run_engine(mixed(False), 4)
-        kern = run_engine(mixed(True), 4)
+        _, kern = assert_matches_reference(mixed(True), 4)
         assert_runs_equal(ref, kern, "partial world")
         assert kern["engine"].kernel_runs == 0
         assert kern["engine"].kernel_deopts == {"external-destination": 1}
 
     def test_iteration_mismatch_deopts(self):
-        """Unequal iteration counts interpret correctly (self-traffic so
-        the program stays matched either way)."""
-
-        def self_program(kernel):
-            def program(ctx):
-                comm = ctx.comm
-                send = comm.send_init(
-                    None, dest=comm.rank, tag=3, nbytes=64, kind="self"
-                )
-                recv = comm.recv_init(source=comm.rank, tag=3)
-                start = comm.start_all_op((send, recv))
-                drain = comm.waitall_op((recv,))
-                n = 2 + ctx.rank
-                if kernel:
-                    yield KernelLoop(start, drain, n)
-                else:
-                    for _ in range(n):
-                        yield start
-                        yield drain
-                return n
-
-            return program
-
-        ref = run_engine(self_program(False), 3)
-        kern = run_engine(self_program(True), 3)
+        """Unequal iteration counts run the program's loops (self-traffic
+        so the program stays matched either way)."""
+        factory = repeat_or_hand(
+            lambda comm: (
+                Post(True, comm.rank, 3, 64, "self"),
+                Post(False, comm.rank, 3),
+            ),
+            lambda rank: 2 + rank,
+        )
+        ref = run_engine(factory(False), 3)
+        _, kern = assert_matches_reference(factory(True), 3)
         assert_runs_equal(ref, kern, "iteration mismatch")
         assert kern["engine"].kernel_runs == 0
         assert kern["engine"].kernel_deopts.get("iteration-mismatch") == 1
 
     def test_wildcard_recv_deopts(self):
-        def wild(kernel):
-            def program(ctx):
-                comm = ctx.comm
-                right = (comm.rank + 1) % comm.size
-                send = comm.send_init(
-                    None, dest=right, tag=RING_TAG, nbytes=256, kind="ring"
-                )
-                recv = comm.recv_init(source=ANY_SOURCE, tag=RING_TAG)
-                start = comm.start_all_op((send, recv))
-                drain = comm.waitall_op((recv,))
-                if kernel:
-                    yield KernelLoop(start, drain, 3)
-                else:
-                    for _ in range(3):
-                        yield start
-                        yield drain
-                return None
-
-            return program
-
-        ref = run_engine(wild(False), 4)
-        kern = run_engine(wild(True), 4)
+        factory = repeat_or_hand(
+            lambda comm: (
+                Post(True, (comm.rank + 1) % comm.size, RING_TAG, 256, "ring"),
+                Post(False, ANY_SOURCE, RING_TAG),
+            ),
+            3,
+        )
+        ref = run_engine(factory(False), 4)
+        _, kern = assert_matches_reference(factory(True), 4)
         assert_runs_equal(ref, kern, "wildcard recv")
         assert kern["engine"].kernel_runs == 0
         assert kern["engine"].kernel_deopts.get("wildcard-recv") == 1
@@ -272,10 +301,8 @@ class TestKernelDeopts:
         deopting from the cache — and keeps being counted."""
 
         def program(ctx):
-            start = ctx.comm.start_all_op(())
-            drain = ctx.comm.waitall_op(())
             for chunk in (2, 3, 4):
-                yield KernelLoop(start, drain, chunk)
+                yield from ctx.comm.repeat((), chunk)
 
         engine = run_engine(program, 1)["engine"]
         assert engine.kernel_runs == 0
@@ -283,43 +310,27 @@ class TestKernelDeopts:
 
     def test_capture_send_deopts(self):
         """Payload-capturing sends can change per iteration — the kernel
-        refuses them and the micro-step path delivers real payloads."""
-
-        def captured(kernel):
-            def program(ctx):
-                comm = ctx.comm
-                right = (comm.rank + 1) % comm.size
-                left = (comm.rank - 1) % comm.size
-                buf = np.full(4, float(ctx.rank))
-                send = comm.send_init(buf, dest=right, tag=9, kind="ring")
-                recv = comm.recv_init(source=left, tag=9)
-                start = comm.start_all_op((send, recv))
-                drain = comm.waitall_op((recv,))
-                if kernel:
-                    results = yield KernelLoop(start, drain, 2)
-                else:
-                    for _ in range(2):
-                        yield start
-                        results = yield drain
-                return [float(r[0]) for r in results]
-
-            return program
-
-        ref = run_engine(captured(False), 4)
-        kern = run_engine(captured(True), 4)
+        refuses them and the program's loop posts the real payloads."""
+        factory = repeat_or_hand(
+            lambda comm: (
+                Post(True, (comm.rank + 1) % comm.size, 9, 32, "ring",
+                     np.full(4, float(comm.rank))),
+                Post(False, (comm.rank - 1) % comm.size, 9),
+            ),
+            2,
+        )
+        ref = run_engine(factory(False), 4)
+        _, kern = assert_matches_reference(factory(True), 4)
         assert_runs_equal(ref, kern, "capture send")
-        assert kern["results"] == [[3.0], [0.0], [1.0], [2.0]]
         assert kern["engine"].kernel_runs == 0
         assert kern["engine"].kernel_deopts.get("capture-send") == 1
 
     def test_no_traffic_deopts(self):
-        """A single-rank world with an empty wave spins interpretively."""
+        """A single-rank world with an empty recipe: declined, and the
+        fallback posts the empty wave without a drain."""
 
         def program(ctx):
-            comm = ctx.comm
-            start = comm.start_all_op(())
-            drain = comm.waitall_op(())
-            yield KernelLoop(start, drain, 4)
+            yield from ctx.comm.repeat((), 4)
             return "done"
 
         out = run_engine(program, 1)
@@ -338,8 +349,8 @@ def report_done_in_ring_order(comm, members, gatherers):
     """Post-loop tail of a member: send one done message to every gatherer,
     serialized along the ring by a token. Members leave a loop in whatever
     order the schedule drains them (the kernel resumes them as one
-    ascending batch, the interpreted expansion as its matching unwinds), so
-    racing sends to a wildcard receive may legally arbitrate either way;
+    ascending batch, the program's own loops as their matching unwinds),
+    so racing sends to a wildcard receive may legally arbitrate either way;
     the token makes the arrival order causal, hence comparable."""
     at = members.index(comm.rank)
     if at:
@@ -360,11 +371,11 @@ def gather_done(comm, members):
     return order
 
 
-def sub_world_program(members, iterations, bystander, *, window=True, tail=None):
-    """``members`` split off a sub-communicator and run a KernelLoop ring
-    closed over themselves on the world communicator (with a trailing
-    allreduce on the sub-communicator when ``window``), then ``tail``;
-    every other rank runs ``bystander``."""
+def sub_world_program(members, iterations, bystander, *, allreduce=True, tail=None):
+    """``members`` split off a sub-communicator and ``repeat`` a ring
+    closed over themselves on the world communicator (then an allreduce on
+    the sub-communicator when ``allreduce``), then ``tail``; every other
+    rank runs ``bystander``."""
 
     def program(ctx):
         comm = ctx.comm
@@ -373,30 +384,14 @@ def sub_world_program(members, iterations, bystander, *, window=True, tail=None)
         ctx.advance(1e-6 * ctx.rank)  # skewed clocks: the folds must matter
         if not inside:
             return (yield from bystander(ctx))
-        start, drain = ring_ops(comm, members)
-        if window:
-            reduced = yield from loop_then_allreduce(
-                sub, start, drain, iterations, float(ctx.rank)
-            )
-        else:
-            reduced = yield KernelLoop(start, drain, iterations)
+        yield from comm.repeat(ring_recipe(comm, members), iterations)
+        reduced = None
+        if allreduce:
+            reduced = yield from sub.allreduce(float(ctx.rank), sum_op)
         after = None if tail is None else (yield from tail(ctx))
         return reduced, after
 
     return program
-
-
-def loop_then_allreduce(comm, start, drain, iterations, value):
-    """A KernelLoop followed by an allreduce on ``comm``: fused into the
-    loop's collective window where the engine takes fast collectives, a
-    plain allreduce after the loop on the cascade (the same tags, traces
-    and clocks either way, as the apps do)."""
-    if comm.collective_windows_ok():
-        colls = (comm.allreduce_op(value, sum_op),)
-        _, window = yield KernelLoop(start, drain, iterations, colls)
-        return window[0]
-    yield KernelLoop(start, drain, iterations)
-    return (yield from comm.allreduce(value, sum_op))
 
 
 class TestClosedSubWorld:
@@ -445,36 +440,33 @@ class TestClosedSubWorld:
                 return [first, second]
 
         _, kern = assert_matches_reference(
-            sub_world_program(members, 5, bystander, window=False, tail=tail), 5
+            sub_world_program(members, 5, bystander, allreduce=False, tail=tail), 5
         )
         engine = kern["engine"]
         assert engine.kernel_runs == 1
         assert engine.kernel_iterations == 5
         assert engine.kernel_deopts == {}
 
-    def test_bystander_in_the_windows_gather_deopts(self):
-        """A bystander already parked in the world allreduce the members'
-        window also names: the window cannot gather its group from the
-        held ranks alone."""
+    def test_bystander_in_the_trailing_allreduce_runs_closed_form(self):
+        """A bystander already parked in the world allreduce the members
+        join after their loop: it sends nothing into the loop, so the
+        members still run closed-form and the allreduce completes after."""
         members = [0, 1, 2]
 
         def program(ctx):
             comm = ctx.comm
-            if ctx.rank not in members:
-                return (yield from comm.allreduce(float(ctx.rank), sum_op))
-            start, drain = ring_ops(comm, members)
-            return (
-                yield from loop_then_allreduce(comm, start, drain, 4, float(ctx.rank))
-            )
+            if ctx.rank in members:
+                yield from comm.repeat(ring_recipe(comm, members), 4)
+            return (yield from comm.allreduce(float(ctx.rank), sum_op))
 
         _, kern = assert_matches_reference(program, 4)
         assert kern["results"] == [6.0] * 4
-        assert kern["engine"].kernel_runs == 0
-        assert kern["engine"].kernel_deopts == {"window-mismatch": 1}
+        assert kern["engine"].kernel_runs == 1
+        assert kern["engine"].kernel_deopts == {}
 
     def test_stray_message_in_a_member_mailbox_deopts(self):
         """A bystander's message sitting unexpected in a member's mailbox
-        on the kernel's communicator keeps the loop interpreted."""
+        on the kernel's communicator declines the loop."""
         members = [0, 1, 2]
 
         def bystander(ctx):
@@ -500,11 +492,11 @@ class TestClosedSubWorld:
     @given(data=st.data())
     def test_random_ring_sub_worlds_with_blocked_bystanders(self, data):
         """Any ring over a subset of the world, in any ring order, with or
-        without a trailing window, and every other rank blocked — on a
-        wildcard gather fed by all members after the loop, or on one
-        member's post-loop ping it answers — runs closed-form and matches
-        the interpreted reference, post-loop wildcard arbitration
-        included."""
+        without an allreduce after ``repeat``, and every other rank
+        blocked — on a wildcard gather fed by all members after the loop,
+        or on one member's post-loop ping it answers — runs closed-form and
+        matches the reference's declined loops, post-loop wildcard
+        arbitration included."""
         size = data.draw(st.integers(3, 9), label="size")
         members = data.draw(
             st.lists(
@@ -516,7 +508,7 @@ class TestClosedSubWorld:
             label="ring",
         )
         iterations = data.draw(st.integers(1, 6), label="iterations")
-        window = data.draw(st.booleans(), label="window")
+        allreduce = data.draw(st.booleans(), label="allreduce")
         outside = [r for r in range(size) if r not in members]
         # Waiters name the member whose ping they wait for; gatherers
         # (None) park on a wildcard for every member's done message.
@@ -554,7 +546,7 @@ class TestClosedSubWorld:
 
         _, kern = assert_matches_reference(
             sub_world_program(
-                members, iterations, bystander, window=window, tail=tail
+                members, iterations, bystander, allreduce=allreduce, tail=tail
             ),
             size,
         )
@@ -567,7 +559,7 @@ class TestClosedSubWorld:
 class TestKernelValidation:
     def test_zero_iterations_rejected(self):
         def program(ctx):
-            start, drain = ring_ops(ctx.comm)
+            start, drain = ctx.comm.wave(ring_recipe(ctx.comm))
             yield KernelLoop(start, drain, 0)
 
         with pytest.raises(MatchingError):
@@ -575,7 +567,7 @@ class TestKernelValidation:
 
     def test_wrong_op_types_rejected(self):
         def program(ctx):
-            start, drain = ring_ops(ctx.comm)
+            start, drain = ctx.comm.wave(ring_recipe(ctx.comm))
             yield KernelLoop(drain, start, 2)
 
         with pytest.raises(MatchingError):

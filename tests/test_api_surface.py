@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro.apps import HeatConfig, SpectralConfig, TsunamiConfig
 from repro.apps.workload import ExecutionMode
-from repro.simmpi import Engine, EngineConfig, run_program
+from repro.simmpi import Communicator, Engine, EngineConfig, KernelLoop, run_program
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -53,3 +53,16 @@ def test_app_configs_carry_mode_and_no_boolean_flags():
         fields = {f.name: f for f in dataclasses.fields(config)}
         assert fields["mode"].default is ExecutionMode.KERNELS
         assert not [name for name in fields if name.startswith("use_")]
+
+
+def test_kernel_loop_is_one_loop_and_repeat_its_one_program():
+    """A ``KernelLoop`` carries no collective window: closed-form or
+    declined, and ``Communicator.repeat`` is the program behind it."""
+    assert [f.name for f in dataclasses.fields(KernelLoop)] == [
+        "start", "drain", "iterations",
+    ]
+    assert list(inspect.signature(Communicator.repeat).parameters) == [
+        "self", "recipe", "iterations",
+    ]
+    for gone in ("allreduce_op", "collective_windows_ok"):
+        assert not hasattr(Communicator, gone)
